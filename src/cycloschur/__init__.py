@@ -5,6 +5,7 @@ blocks, cyclotomic valuations, and the package-shift extensions."""
 from .abacus import (
     BetaConfig,
     ChargedHooks,
+    active_beads,
     beta_numbers,
     charged_hooks_abacus,
     charged_hooks_direct,
@@ -72,6 +73,7 @@ from .weights import (
     normalized_instance,
     proxy_block_key,
     residue_vector,
+    residue_weight,
     uglov_weight,
 )
 

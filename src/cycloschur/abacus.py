@@ -18,13 +18,17 @@ for ``charged_hooks_abacus``.
 building the multiset, the charged hooks equal to 0 and divisible by e.
 They require the multicharge to be sorted; ``count_divisible_hooks``
 further requires it to lie in the fundamental domain
-s_0 <= ... <= s_{l-1} <= s_0 + e.
+s_0 <= ... <= s_{l-1} <= s_0 + e.  It visits only the beads at or above
+the lowest gap of all runners (``active_beads``) and sums the counting
+terms of ``n_k`` with one prefix sum per residue class mod e, so its
+cost does not grow with the window.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import gt
 from typing import Sequence
 
 from .partitions import Multipartition, Partition, generalized_hook
@@ -45,11 +49,14 @@ def beta_numbers(p: Partition, s: int, m: int) -> tuple[int, ...]:
     size = m + s
     if size < 1:
         raise ValueError(f"window m={m} too small for charge {s}")
-    if p.part(size) != 0:
+    if len(p) >= size:
         raise ValueError(
             f"window m={m} too small: {p!r} still has a nonzero part in row {size}"
         )
-    return tuple(p.part(j) - j + s + 1 for j in range(1, size + 1))
+    # rows past the last part are empty, so their beads are packed down to 1-m
+    return tuple(part - j + s for j, part in enumerate(p)) + tuple(
+        range(s - len(p), -m, -1)
+    )
 
 
 def partition_from_beta(x: Sequence[int], m: int) -> tuple[Partition, int]:
@@ -89,7 +96,7 @@ class BetaConfig:
                 raise ValueError(
                     f"component {c}: expected {self.m + s} beads, got {len(runner)}"
                 )
-            if any(runner[k] <= runner[k + 1] for k in range(len(runner) - 1)):
+            if not all(map(gt, runner, runner[1:])):
                 raise ValueError(f"component {c}: beads must strictly decrease")
             if runner[-1] != floor:
                 raise ValueError(f"component {c}: last bead must sit at {floor}")
@@ -204,8 +211,14 @@ def charged_hooks_abacus(
                     continue
                 for k in range(d):
                     counts[x - gap_lists[b][k]] += 1
-    expected = n * (level if include_diagonal else level - 1)
-    assert sum(counts.values()) == expected
+    # every bead contributes one hook per gap below it, so the deltas sum to the rank
+    rank = sum(
+        x + i - s
+        for runner, s in zip(cfg.runners, cfg.charges)
+        for i, x in enumerate(runner)
+    )
+    if n != rank:
+        raise ArithmeticError(f"bead deltas sum to {n}, not to the rank {rank}")
     return ChargedHooks.from_counter(counts, include_diagonal)
 
 
@@ -280,27 +293,58 @@ def count_zero_hooks(cfg: BetaConfig) -> int:
     )
 
 
+def _lowest_gap(runner: Sequence[int], s: int) -> int:
+    i = 0
+    while runner[i] + i != s:
+        i += 1
+    return runner[i] + 1
+
+
+def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
+    """The lowest gap g over all runners, and the beads of each runner
+    at or above g.
+
+    Every runner is full below g, so nothing there can move or count.
+    On each runner beta_j + j falls to s + 1 exactly where the empty
+    rows begin, so the runner's lowest gap is found by scanning only
+    its nonempty rows, and the runner holds exactly s + 1 - g beads at
+    or above g.  Neither step depends on the window.
+    """
+    g = min(_lowest_gap(r, s) for r, s in zip(cfg.runners, cfg.charges))
+    return g, tuple(r[: s + 1 - g] for r, s in zip(cfg.runners, cfg.charges))
+
+
 def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     """Number of charged hook lengths divisible by e, diagonal included.
 
-    Sums the counting terms over all beads and all k >= 0; the k-loop
-    stops once x - ke drops below the window floor, after which every
-    term vanishes.
+    The count is the sum of the terms ``n_k`` over all beads x and all
+    k >= 0.  Below the lowest gap g of all runners every term vanishes,
+    so only the beads from g upward are visited.  With free(y) the
+    number of runners missing y, the k >= 1 terms of a bead x add up to
+    P(x - e), where P(y) = free(y) + P(y - e) is a prefix sum along the
+    residue class of y mod e and P vanishes below g.  The cost grows
+    with the rank and the charges, not with the window.
     """
     if e < 2:
         raise ValueError("e must be at least 2")
     if not in_fundamental_domain(cfg.charges, e):
         raise ValueError("multicharge outside the fundamental domain")
-    sets = [set(r) for r in cfg.runners]
-    total = 0
-    for c, runner in enumerate(cfg.runners):
+    g, beads = active_beads(cfg)
+    top = max((r[0] for r in beads if r), default=g - 1)
+    prefix = [cfg.level] * (top - g + 1)
+    for runner in beads:
         for x in runner:
-            total += sum(1 for t in range(c + 1, cfg.level) if x not in sets[t])
-            k = 1
-            while x - k * e > -cfg.m:
-                target = x - k * e
-                total += sum(1 for t in range(cfg.level) if target not in sets[t])
-                k += 1
+            prefix[x - g] -= 1
+    for i in range(e, len(prefix)):
+        prefix[i] += prefix[i - e]
+    sets = [set(r) for r in beads]
+    total = sum(
+        len(sets[c] - sets[t]) for c in range(cfg.level) for t in range(c + 1, cfg.level)
+    )
+    for runner in beads:
+        for x in runner:
+            if x - g >= e:
+                total += prefix[x - g - e]
     return total
 
 

@@ -1,7 +1,8 @@
 """Command line interface and the exhaustive scan harness.
 
 Exit codes: 0 success (scan: no violation), 1 invariant violation,
-2 malformed input or bad parameters, 3 bad specialisation.
+2 malformed input, bad parameters, a malformed environment or an I/O
+error, 3 bad specialisation.
 
 The scan enumerates all multipartitions of a given level and rank,
 groups them by residue vector (the proxy block key) and checks that the
@@ -141,19 +142,18 @@ class ScanReport:
 
 
 def _member_record(mp: Multipartition, charges, e: int, m: int):
-    fw = weights.fayers_weight(mp, charges, e)
-    uw = weights.uglov_weight(mp, charges, e, m)
-    di = schur.defect_integer(mp, charges, e)
-    nk = abacus.count_divisible_hooks(abacus.multi_beta(mp, charges, m), e)
-    cr = weights.core(mp, charges, e, m)
-    key = weights.residue_vector(mp, charges, e).counts
+    # the residue vector and the beta-numbers are built once and shared;
+    # each of the four routes runs once
+    rv = weights.residue_vector(mp, charges, e)
+    cfg = abacus.multi_beta(mp, charges, m)
+    cr = weights.core(mp, charges, e, m, beta=cfg)
     return (
         format_multipartition(mp),
-        key,
-        fw,
-        uw,
-        di,
-        nk,
+        rv.counts,
+        weights.residue_weight(rv, charges),
+        cr.weight,
+        schur.defect_integer(mp, charges, e),
+        abacus.count_divisible_hooks(cfg, e),
         format_multipartition(cr.core),
         cr.charges,
     )
@@ -224,11 +224,15 @@ def scan(
     return ScanReport(l, n, e, norm, m, tuple(blocks))
 
 
+def _check_packages(level: int, p: int | None) -> None:
+    if p is not None and (p < 1 or level % p != 0):
+        raise ValueError("p must divide the level")
+
+
 def write_scan_csv(report: ScanReport, path: str, p: int | None = None) -> None:
     """Per-member CSV rows; with p given, each member's orbit size under
     the shift by (level/p)-packages is appended."""
-    if p is not None and (p < 1 or report.level % p != 0):
-        raise ValueError("p must divide the level")
+    _check_packages(report.level, p)
     header = ["block_id", "residue_key", "multipartition", "weight", "defect", "core"]
     if p is not None:
         header.append("orbit_size")
@@ -426,14 +430,24 @@ def _cmd_scan(args) -> int:
     charges = (
         parse_multicharge(args.charge) if args.charge is not None else (0,) * args.l
     )
+    _check_packages(args.l, args.p)
     report = scan(args.l, args.n, args.e, charges, args.window, args.jobs)
-    print(report.to_text())
+    # the files go first, so that a path that cannot be written leaves stdout empty
     if args.json is not None:
         with open(args.json, "w") as fh:
             fh.write(report.to_json_str() + "\n")
     if args.csv is not None:
         write_scan_csv(report, args.csv, args.p)
+    print(report.to_text())
     return EXIT_VIOLATION if report.violations else EXIT_OK
+
+
+def _env_jobs() -> int:
+    text = os.environ.get(JOBS_ENV, "1")
+    try:
+        return int(text)
+    except ValueError:
+        raise ValueError(f"${JOBS_ENV} must be an integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -542,7 +556,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--jobs",
         type=int,
-        default=int(os.environ.get(JOBS_ENV, "1")),
+        default=_env_jobs(),
         help=f"worker count (default from ${JOBS_ENV})",
     )
     p.add_argument("--csv", help="write per-member rows to this path")
@@ -554,14 +568,13 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except schur.BadSpecialisationError as exc:
         print(f"bad specialisation: {exc}", file=sys.stderr)
         return EXIT_BAD_SPECIALISATION
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
 

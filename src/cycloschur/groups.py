@@ -52,7 +52,8 @@ def orbit(mp: Multipartition, d: int, p: int) -> SigmaOrbit:
     while current != mp:
         current = sigma(current, d)
         size += 1
-    assert p % size == 0
+    if p % size:
+        raise ArithmeticError(f"orbit size {size} does not divide {p}")
     return SigmaOrbit(mp, size, p // size)
 
 

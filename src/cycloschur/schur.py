@@ -29,7 +29,7 @@ from fractions import Fraction
 from functools import lru_cache
 from typing import Iterable, Sequence
 
-from .partitions import Multipartition, generalized_hook, n_invariant
+from .partitions import Multipartition, n_invariant
 
 
 class BadSpecialisationError(ValueError):
@@ -248,19 +248,35 @@ class GenericSchurFactors:
         }
 
 
-@lru_cache(maxsize=None)
 def schur_factors(mp: Multipartition) -> GenericSchurFactors:
-    """The factored Schur element of a multipartition."""
+    """The factored Schur element of a multipartition.
+
+    The generalised hook lam_i - i + mu'_j - j + 1 of each box is read
+    from the column lengths mu'_j of each component, counted once and
+    padded with zeros to the widest component; boxes run row by row, as
+    in ``Partition.nodes``.
+    """
     n, level = mp.rank, mp.level
     sign = -1 if (n * (level - 1)) % 2 else 1
+    width = max((comp[0] for comp in mp if comp), default=0)
+    cols = []
+    for comp in mp:
+        col = [0] * width
+        for row in comp:
+            for j in range(row):
+                col[j] += 1
+        cols.append(col)
     qints: list[int] = []
     pairs: list[tuple[int, int, int]] = []
     for a, comp in enumerate(mp):
-        for i, j in comp.nodes():
-            qints.append(generalized_hook(comp, comp, i, j))
-            for b in range(level):
-                if b != a:
-                    pairs.append((generalized_hook(comp, mp[b], i, j), a, b))
+        others = [(b, cols[b]) for b in range(level) if b != a]
+        own = cols[a]
+        for i, row in enumerate(comp, start=1):
+            for j in range(row):
+                arm = row - i - j
+                qints.append(arm + own[j])
+                for b, col in others:
+                    pairs.append((arm + col[j], a, b))
     return GenericSchurFactors(sign, -n_invariant(mp.bar()), tuple(qints), tuple(pairs))
 
 

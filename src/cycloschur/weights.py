@@ -2,15 +2,30 @@
 
 The residue of the box (a, i, j) is (j - i + s_a) mod e.  The weight of
 a charged multipartition can be computed from its residue vector
-(``fayers_weight``) or by reducing its abacus to a terminal state
-(``uglov_weight`` / ``core``): while some bead of component c-1 is
-missing from component c, transfer it across at the same position
-(Step 1); once the components are nested, while some bead x of the last
-component has position x - e free on the first component and above the
-window floor, transfer it there (Step 3).  The number of transfers is
-the weight and the terminal abacus is the core.  Neither depends on the
-order in which eligible transfers are applied nor on the window size;
-both facts are exercised by the test suite.
+(``residue_weight`` / ``fayers_weight``) or by reducing its abacus to a
+terminal state (``core`` / ``uglov_weight``): while some bead of
+component c-1 is missing from component c, transfer it across at the
+same position (Step 1); once the components are nested, while some bead
+x of the last component has position x - e free on the first component
+and above the window floor, transfer it there (Step 3).  The number of
+transfers is the weight and the terminal abacus is the core.  Neither
+depends on the order in which eligible transfers are applied nor on the
+window size; both facts are exercised by the test suite.
+
+``core`` computes the terminal state without moving a bead.  Let b[y]
+be the number of runners with a bead at y.  Step 1 only raises beads to
+higher components at a fixed position, so after it the b[y] beads at y
+sit on the top b[y] components, and Step 3 takes a bead from x to x - e
+whenever b[x] >= 1 and b[x - e] < l.  The terminal state therefore packs
+the beads of each residue class mod e from the bottom, l per position,
+and the nested runners are read off the packed counts.  Every transfer
+lowers the potential sum over beads (c, y) of (l*y - e*c) by exactly e,
+so the weight is the potential of the start minus that of the terminal
+state, over e.  Only positions from the lowest gap of all runners
+upward take part (``abacus.active_beads``): below it every runner is
+full and nothing moves, so the cost does not grow with the window.
+``uglov_weight`` keeps the move-by-move reduction, optionally in a
+random order, as the independent cross-check.
 
 The reduction requires the multicharge to lie in the fundamental domain
 s_0 <= ... <= s_{l-1} <= s_0 + e.  ``normalized_instance`` brings an
@@ -31,11 +46,11 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .abacus import (
-    beta_numbers,
+    BetaConfig,
+    active_beads,
     in_fundamental_domain,
     multi_beta,
     normalize_multicharge,
-    partition_from_beta,
 )
 from .partitions import (
     Multipartition,
@@ -75,8 +90,10 @@ def residue_vector(
     if len(charges) != mp.level:
         raise ValueError("multicharge length must equal the level")
     counts = [0] * e
-    for node in mp.nodes():
-        counts[(node.col - node.row + charges[node.comp]) % e] += 1
+    for comp, s in zip(mp, charges):
+        for i, part in enumerate(comp, start=1):
+            for j in range(1, part + 1):
+                counts[(j - i + s) % e] += 1
     return ResidueVector(e, tuple(counts))
 
 
@@ -89,11 +106,10 @@ def proxy_block_key(
     return residue_vector(mp, charges, e)
 
 
-def fayers_weight(mp: Multipartition, charges: Sequence[int], e: int) -> int:
-    """The weight from the residue vector:
+def residue_weight(rv: ResidueVector, charges: Sequence[int]) -> int:
+    """The weight from a residue vector:
     sum_i c_{s_i} - (1/2) sum_{i mod e} (c_i - c_{i-1})^2."""
-    rv = residue_vector(mp, charges, e)
-    c = rv.counts
+    c, e = rv.counts, rv.modulus
     total = sum(c[s % e] for s in charges)
     square = sum((c[i] - c[i - 1]) ** 2 for i in range(e))
     if square % 2:
@@ -104,42 +120,42 @@ def fayers_weight(mp: Multipartition, charges: Sequence[int], e: int) -> int:
     return weight
 
 
+def fayers_weight(mp: Multipartition, charges: Sequence[int], e: int) -> int:
+    """The weight from the residue vector of mp (``residue_weight``)."""
+    return residue_weight(residue_vector(mp, charges, e), charges)
+
+
 def _reduce_runners(
     runners: list[set], m: int, e: int, rng: random.Random | None = None
 ) -> int:
-    """Run the bead reduction in place and return the number of moves.
+    """Run the bead reduction move by move, in place, and return the
+    number of moves.
 
-    The deterministic strategy takes the smallest target component and
-    the largest eligible bead; passing an rng picks uniformly among the
-    currently eligible moves of the active step instead.
+    Without an rng the first eligible move of the active step is taken;
+    with one, a uniformly random eligible move.  This is the cross-check
+    for ``_reduce``, which never moves a bead.
     """
     floor = 1 - m
     level = len(runners)
     moves = 0
     while True:
-        step1 = sorted(
-            (
-                (c, x)
-                for c in range(1, level)
-                for x in runners[c - 1]
-                if x not in runners[c]
-            ),
-            key=lambda cx: (cx[0], -cx[1]),
-        )
+        step1 = [
+            (c, x)
+            for c in range(1, level)
+            for x in runners[c - 1]
+            if x not in runners[c]
+        ]
         if step1:
             c, x = step1[0] if rng is None else step1[rng.randrange(len(step1))]
             runners[c - 1].discard(x)
             runners[c].add(x)
             moves += 1
             continue
-        step3 = sorted(
-            (
-                x
-                for x in runners[level - 1]
-                if x - e >= floor and x - e not in runners[0]
-            ),
-            reverse=True,
-        )
+        step3 = [
+            x
+            for x in runners[level - 1]
+            if x - e >= floor and x - e not in runners[0]
+        ]
         if step3:
             x = step3[0] if rng is None else step3[rng.randrange(len(step3))]
             runners[level - 1].discard(x)
@@ -149,15 +165,11 @@ def _reduce_runners(
         return moves
 
 
-def _start_reduction(
-    mp: Multipartition, charges: Sequence[int], e: int, m: int | None
-) -> tuple[list[set], int]:
+def _check_domain(charges: Sequence[int], e: int) -> None:
     if e < 2:
         raise ValueError("e must be at least 2")
     if not in_fundamental_domain(charges, e):
         raise ValueError("multicharge outside the fundamental domain")
-    cfg = multi_beta(mp, charges, m)
-    return [set(r) for r in cfg.runners], cfg.m
 
 
 def uglov_weight(
@@ -167,9 +179,11 @@ def uglov_weight(
     m: int | None = None,
     rng: random.Random | None = None,
 ) -> int:
-    """The weight as the number of bead moves of the reduction."""
-    runners, m = _start_reduction(mp, charges, e, m)
-    return _reduce_runners(runners, m, e, rng)
+    """The weight as the number of bead moves of the reduction, counted
+    move by move; an rng randomises the order of the moves."""
+    _check_domain(charges, e)
+    cfg = multi_beta(mp, charges, m)
+    return _reduce_runners([set(r) for r in cfg.runners], cfg.m, e, rng)
 
 
 @dataclass(frozen=True)
@@ -190,19 +204,62 @@ class CoreResult:
         }
 
 
+def _reduce(cfg: BetaConfig, e: int) -> CoreResult:
+    """The terminal state and the move count of the reduction, from the
+    bead counts b[y] of the active region (see the module docstring)."""
+    level = cfg.level
+    g, beads = active_beads(cfg)
+    top = max((r[0] for r in beads if r), default=g - 1)
+    counts = [0] * (top - g + 1)
+    potential = 0
+    for c, runner in enumerate(beads):
+        for x in runner:
+            counts[x - g] += 1
+            potential += level * x - e * c
+    packed = [0] * len(counts)
+    for r in range(e):
+        left = sum(counts[r::e])
+        i = r
+        while left:
+            packed[i] = min(left, level)
+            left -= packed[i]
+            i += e
+    # nested terminal runners: the b beads at a position sit on the top b components
+    for i, b in enumerate(packed):
+        potential -= level * (g + i) * b - e * (b * (2 * level - b - 1) // 2)
+    moves, rest = divmod(potential, e)
+    if rest or moves < 0:
+        raise ArithmeticError("the reduction potential must fall by a multiple of e")
+    # a runner with k beads at or above g has m + g - 1 more below them,
+    # so its charge is k + g - 1
+    comps, charges = [], []
+    for c in range(level):
+        xs = [g + i for i in range(len(packed) - 1, -1, -1) if packed[i] >= level - c]
+        s = len(xs) + g - 1
+        comps.append(Partition(x + i - s for i, x in enumerate(xs)))
+        charges.append(s)
+    return CoreResult(Multipartition(comps), tuple(charges), moves)
+
+
 def core(
-    mp: Multipartition, charges: Sequence[int], e: int, m: int | None = None
+    mp: Multipartition,
+    charges: Sequence[int],
+    e: int,
+    m: int | None = None,
+    *,
+    beta: BetaConfig | None = None,
 ) -> CoreResult:
-    """Reduce to the terminal abacus and read it back as a multipartition."""
-    runners, m = _start_reduction(mp, charges, e, m)
-    moves = _reduce_runners(runners, m, e)
-    comps = []
-    terminal = []
-    for runner in runners:
-        part, charge = partition_from_beta(sorted(runner, reverse=True), m)
-        comps.append(part)
-        terminal.append(charge)
-    return CoreResult(Multipartition(comps), tuple(terminal), moves)
+    """Reduce to the terminal abacus and read it back as a multipartition.
+
+    ``beta`` takes the beta-numbers of mp under these charges when the
+    caller has built them already; otherwise they are built at window m.
+    """
+    _check_domain(charges, e)
+    if beta is None:
+        beta = multi_beta(mp, charges, m)
+    elif beta.charges != tuple(charges) or m not in (None, beta.m):
+        raise ValueError("beta-numbers built for other charges or another window")
+    return _reduce(beta, e)
 
 
 def _remove_rim_hook(p: Partition, i: int, j: int) -> Partition:
@@ -239,12 +296,10 @@ def ecore_abacus(p: Partition, e: int) -> tuple[Partition, int]:
     independent oracle for ``ecore_classical``."""
     if e < 2:
         raise ValueError("e must be at least 2")
-    m = len(p) + 1
-    runners = [set(beta_numbers(p, 0, m))]
-    moves = _reduce_runners(runners, m, e)
-    part, charge = partition_from_beta(sorted(runners[0], reverse=True), m)
-    assert charge == 0
-    return part, moves
+    result = _reduce(multi_beta(Multipartition([p]), (0,), len(p) + 1), e)
+    if result.charges != (0,):
+        raise ArithmeticError("a single runner must keep its charge")
+    return result.core[0], result.weight
 
 
 def bgo_check(p: Partition, e: int) -> bool:

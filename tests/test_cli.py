@@ -1,6 +1,8 @@
 import csv
 import json
 
+import pytest
+
 from cycloschur import cli
 from cycloschur.cli import ScanReport, main, scan, write_scan_csv
 
@@ -243,3 +245,53 @@ def test_scan_env_sets_default_jobs(monkeypatch):
     parser = cli.build_parser()
     args = parser.parse_args(["scan", "--l", "1", "--n", "1", "--e", "2"])
     assert args.jobs == 2
+
+
+def test_scan_bad_jobs_env_exits_2(monkeypatch, capsys):
+    monkeypatch.setenv(cli.JOBS_ENV, "abc")
+    code, out, err = run(capsys, "scan", "--l", "1", "--n", "2", "--e", "2")
+    assert code == 2
+    assert out == ""
+    assert err.count("\n") == 1 and cli.JOBS_ENV in err
+
+
+def test_scan_validates_p_before_output(tmp_path, capsys):
+    code, out, _ = run(capsys, "scan", "--l", "2", "--n", "2", "--e", "2", "--p", "3")
+    assert (code, out) == (2, "")
+    csv_path = tmp_path / "x.csv"
+    code, out, _ = run(
+        capsys, "scan", "--l", "2", "--n", "2", "--e", "2", "--p", "3", "--csv", str(csv_path)
+    )
+    assert (code, out) == (2, "")
+    assert not csv_path.exists()
+
+
+@pytest.mark.parametrize("flag", ["--csv", "--json"])
+def test_scan_unwritable_path_exits_2(tmp_path, capsys, flag):
+    missing = tmp_path / "missing" / "x.out"
+    code, out, err = run(capsys, "scan", "--l", "1", "--n", "2", "--e", "2", flag, str(missing))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_scan_stdout_unchanged_with_files(tmp_path, capsys):
+    code, out, _ = run(
+        capsys,
+        "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1",
+        "--json", str(tmp_path / "r.json"), "--csv", str(tmp_path / "r.csv"), "--p", "2",
+    )
+    assert code == 0
+    assert out == scan(2, 3, 2, (0, 1)).to_text() + "\n"
+
+
+def test_scan_keeps_no_per_member_cache():
+    import cycloschur
+
+    report = scan(2, 8, 2, (0, 1))
+    members = sum(len(b.members) for b in report.blocks)
+    for name in ("abacus", "cli", "groups", "partitions", "schur", "weights"):
+        module = getattr(cycloschur, name)
+        for value in vars(module).values():
+            info = getattr(value, "cache_info", None)
+            if info is not None:
+                assert info().currsize < members, (name, value)
