@@ -34,7 +34,6 @@ from .partitions import (
     Multipartition,
     Node,
     Partition,
-    charged_content,
     enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
@@ -71,7 +70,6 @@ from .weights import (
     ecore_classical,
     fayers_weight,
     normalized_instance,
-    proxy_block_key,
     residue_vector,
     residue_weight,
     uglov_weight,

@@ -250,8 +250,8 @@ def write_scan_csv(report: ScanReport, path: str, p: int | None = None) -> None:
                     b.core,
                 ]
                 if p is not None:
-                    mp = parse_multipartition(member)
-                    row.append(groups.orbit(mp, report.level // p, p).size)
+                    comps = tuple(member.split("|"))
+                    row.append(groups.orbit(comps, report.level // p, p).size)
                 writer.writerow(row)
 
 
@@ -275,6 +275,8 @@ def _parse_roots(text: str) -> schur.RootOfUnity:
 
 
 def _cmd_hooks(args) -> int:
+    if args.mod is not None and args.mod < 1:
+        raise ValueError("--mod must be positive")
     mp = parse_multipartition(args.multipartition)
     charges = _charges_for(args, mp.level)
     cfg = abacus.multi_beta(mp, charges, args.window)
@@ -282,8 +284,6 @@ def _cmd_hooks(args) -> int:
     print(f"H = {hooks.formatted()}")
     print(f"size = {hooks.total}")
     if args.mod is not None:
-        if args.mod < 1:
-            raise ValueError("--mod must be positive")
         count = sum(mult for v, mult in hooks.items if v % args.mod == 0)
         print(f"divisible by {args.mod}: {count}")
     return EXIT_OK

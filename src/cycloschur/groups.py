@@ -38,20 +38,20 @@ class SigmaOrbit:
     """A shift orbit: its representative, its size (a divisor of p) and
     the order p / size of the stabilizer."""
 
-    representative: Multipartition
+    representative: Sequence
     size: int
     stabilizer: int
 
 
-def orbit(mp: Multipartition, d: int, p: int) -> SigmaOrbit:
-    """The orbit of mp under the shift by d-packages, for level p*d."""
-    if p < 1 or mp.level != p * d:
+def orbit(mp: Sequence, d: int, p: int) -> SigmaOrbit:
+    """The orbit of mp under the shift by d-packages, for level p*d.
+
+    mp may be any sequence of components that compare equal exactly when
+    the partitions do, such as their texts; the size is the least number
+    of package rotations that fixes the component tuple."""
+    if p < 1 or len(mp) != p * d:
         raise ValueError("level must equal p*d")
-    current = sigma(mp, d)
-    size = 1
-    while current != mp:
-        current = sigma(current, d)
-        size += 1
+    size = next(k for k in range(1, p + 1) if mp[k * d :] + mp[: k * d] == mp)
     if p % size:
         raise ArithmeticError(f"orbit size {size} does not divide {p}")
     return SigmaOrbit(mp, size, p // size)

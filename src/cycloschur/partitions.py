@@ -124,11 +124,6 @@ def n_invariant(p: Partition) -> int:
     return sum((i - 1) * part for i, part in enumerate(p, start=1))
 
 
-def charged_content(node: Node, s: int) -> int:
-    """The s-charged content (col - row) + s + 1 of a box."""
-    return node.col - node.row + s + 1
-
-
 @lru_cache(maxsize=None)
 def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     """All partitions of n with parts bounded by max_part, in descending

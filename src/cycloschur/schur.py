@@ -1,4 +1,4 @@
-"""Exact Laurent-polynomial arithmetic, cyclotomic polynomials, and the
+"""Integer Laurent polynomials, cyclotomic polynomials, and the
 factored form of Ariki-Koike Schur elements.
 
 The Schur element attached to a multipartition of rank n and level l is
@@ -8,7 +8,10 @@ q^h Q_a Q_b^{-1} - 1 (h the generalised hook length of a box of
 component a against component b).  ``GenericSchurFactors`` keeps this
 structure unexpanded; defects are read off the factors one by one,
 while ``specialize_integer`` expands the product into an honest Laurent
-polynomial as an independent oracle.
+polynomial as an independent oracle.  Under Q_a -> y^(s_a), q -> y every
+factor has integer coefficients and every cyclotomic polynomial is
+monic, so ``LaurentPoly`` keeps integer coefficients only: products are
+convolutions and ``nu_phi`` divides by Phi_e with integer long division.
 
 Roots of unity live in a single ambient cyclic group Z/NZ so that every
 equality test is exact integer arithmetic.  A ``CycloSpec`` records a
@@ -25,8 +28,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
+from itertools import repeat
+from operator import add, index, mul, sub
 from typing import Iterable, Sequence
 
 from .partitions import Multipartition, n_invariant
@@ -37,24 +41,27 @@ class BadSpecialisationError(ValueError):
 
 
 class LaurentPoly:
-    """A Laurent polynomial in one variable with exact rational
-    coefficients, stored as a sparse exponent -> coefficient table."""
+    """A Laurent polynomial in one variable with integer coefficients,
+    stored densely: ``coeffs[k]`` is the coefficient of y^(low + k), and
+    both end entries are nonzero.  The zero polynomial has no entries.
 
-    __slots__ = ("coeffs",)
+    The constructor takes an exponent -> coefficient table; a coefficient
+    that is not an integer raises TypeError."""
+
+    __slots__ = ("low", "coeffs")
 
     def __init__(self, coeffs=None):
-        table: dict[int, Fraction] = {}
-        if coeffs:
-            items = coeffs.items() if isinstance(coeffs, dict) else coeffs
-            for exp, c in items:
-                c = Fraction(c)
-                if c:
-                    c += table.get(exp, 0)
-                    if c:
-                        table[int(exp)] = c
-                    else:
-                        table.pop(int(exp), None)
-        self.coeffs = table
+        table = {index(exp): index(c) for exp, c in (coeffs or {}).items() if index(c)}
+        self.low = min(table, default=0)
+        top = max(table, default=-1)
+        self.coeffs = [table.get(exp, 0) for exp in range(self.low, top + 1)]
+
+    @classmethod
+    def _dense(cls, low: int, coeffs: list[int]) -> "LaurentPoly":
+        # coeffs must be nonempty with nonzero end entries
+        out = cls.__new__(cls)
+        out.low, out.coeffs = low, coeffs
+        return out
 
     @classmethod
     def zero(cls) -> "LaurentPoly":
@@ -74,65 +81,33 @@ class LaurentPoly:
 
     def __eq__(self, other) -> bool:
         if isinstance(other, LaurentPoly):
-            return self.coeffs == other.coeffs
+            return self.low == other.low and self.coeffs == other.coeffs
         return NotImplemented
 
-    def __hash__(self):
-        return hash(frozenset(self.coeffs.items()))
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        table = dict(self.coeffs)
-        for exp, c in other.coeffs.items():
-            s = table.get(exp, 0) + c
-            if s:
-                table[exp] = s
-            else:
-                table.pop(exp, None)
-        out = LaurentPoly()
-        out.coeffs = table
-        return out
-
-    def __neg__(self) -> "LaurentPoly":
-        out = LaurentPoly()
-        out.coeffs = {exp: -c for exp, c in self.coeffs.items()}
-        return out
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
     def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        table: dict[int, Fraction] = {}
-        for e1, c1 in self.coeffs.items():
-            for e2, c2 in other.coeffs.items():
-                exp = e1 + e2
-                s = table.get(exp, 0) + c1 * c2
-                if s:
-                    table[exp] = s
-                else:
-                    table.pop(exp, None)
-        out = LaurentPoly()
-        out.coeffs = table
-        return out
-
-    def __pow__(self, k: int) -> "LaurentPoly":
-        if k < 0:
-            raise ValueError("negative powers are not defined")
-        out = LaurentPoly.one()
-        for _ in range(k):
-            out = out * self
-        return out
+        a, b = self.coeffs, other.coeffs
+        if not a or not b:
+            return LaurentPoly()
+        out = [0] * (len(a) + len(b) - 1)
+        width = len(a)
+        # pair factors are binomials y^h - 1: skip the zeros between the ends
+        for j, c in enumerate(b):
+            if c:
+                out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(c)))
+        # Z is an integral domain, so the end entries stay nonzero
+        return LaurentPoly._dense(self.low + other.low, out)
 
     @property
     def min_exp(self) -> int:
         if self.is_zero:
             raise ValueError("the zero polynomial has no degree")
-        return min(self.coeffs)
+        return self.low
 
     @property
     def max_exp(self) -> int:
         if self.is_zero:
             raise ValueError("the zero polynomial has no degree")
-        return max(self.coeffs)
+        return self.low + len(self.coeffs) - 1
 
     @property
     def span(self) -> int:
@@ -140,40 +115,41 @@ class LaurentPoly:
         return self.max_exp - self.min_exp
 
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
-        """Quotient self / other when the division is exact in the
-        Laurent ring; raises ValueError otherwise."""
-        if other.is_zero:
+        """Quotient self / other when it exists in the Laurent ring over
+        the integers, by long division from the top; raises ValueError
+        otherwise."""
+        den = other.coeffs
+        if not den:
             raise ZeroDivisionError("division by the zero polynomial")
-        if self.is_zero:
-            return LaurentPoly.zero()
-        sp, so = self.min_exp, other.min_exp
-        num = [self.coeffs.get(sp + k, Fraction(0)) for k in range(self.span + 1)]
-        den = [other.coeffs.get(so + k, Fraction(0)) for k in range(other.span + 1)]
-        if len(num) < len(den):
+        if not self.coeffs:
+            return LaurentPoly()
+        width = len(den)
+        if len(self.coeffs) < width:
             raise ValueError("inexact division")
+        num = list(self.coeffs)
         lead = den[-1]
-        quot = [Fraction(0)] * (len(num) - len(den) + 1)
+        quot = [0] * (len(num) - width + 1)
         for k in range(len(quot) - 1, -1, -1):
-            q = num[k + len(den) - 1] / lead
-            quot[k] = q
+            q, r = divmod(num[k + width - 1], lead)
+            if r:
+                raise ValueError("inexact division")
             if q:
-                for idx, d in enumerate(den):
-                    num[k + idx] -= q * d
-        if any(num):
+                quot[k] = q
+                num[k : k + width] = map(sub, num[k : k + width], map(mul, den, repeat(q)))
+        if any(num[: width - 1]):
             raise ValueError("inexact division")
-        return LaurentPoly({sp - so + k: c for k, c in enumerate(quot)})
-
-    def to_pairs(self) -> tuple[tuple[int, str], ...]:
-        """Sorted (exponent, coefficient) pairs with exact coefficients
-        rendered as 'p' or 'p/q' strings."""
-        return tuple((exp, str(self.coeffs[exp])) for exp in sorted(self.coeffs))
+        # an exact quotient has nonzero ends: theirs times den's give self's
+        return LaurentPoly._dense(self.low - other.low, quot)
 
     def __str__(self) -> str:
         if self.is_zero:
             return "0"
         chunks = []
-        for exp in sorted(self.coeffs, reverse=True):
-            c = self.coeffs[exp]
+        for k in range(len(self.coeffs) - 1, -1, -1):
+            c = self.coeffs[k]
+            if not c:
+                continue
+            exp = self.low + k
             sign = "-" if c < 0 else "+"
             mag = abs(c)
             if exp == 0:
@@ -189,7 +165,8 @@ class LaurentPoly:
         return text
 
     def __repr__(self) -> str:
-        return f"LaurentPoly({self.coeffs!r})"
+        table = {self.low + k: c for k, c in enumerate(self.coeffs) if c}
+        return f"LaurentPoly({table!r})"
 
 
 def q_integer(h: int) -> LaurentPoly:
@@ -373,19 +350,11 @@ def semisimple_check(
 ) -> bool:
     """Whether the rank-n algebra with parameters (xi_0..xi_{l-1}; u) is
     semisimple: no vanishing q-integer up to n and no relation
-    u^h xi_a = xi_b with 0 <= a < b < l and |h| < n."""
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    ambient = _common_ambient(xi, u)
-    if u.element_order != 1 and u.element_order <= n:
-        return False
-    for a in range(len(xi)):
-        for b in range(a + 1, len(xi)):
-            delta = (xi[b].exponent - xi[a].exponent) % ambient
-            for h in range(-(n - 1), n):
-                if (u.exponent * h - delta) % ambient == 0:
-                    return False
-    return True
+    u^h xi_a = xi_b with 0 <= a < b < l and |h| < n, that is, every
+    ``dipper_mathas_classes`` class is a singleton."""
+    classes = dipper_mathas_classes(xi, u, n)
+    order = u.element_order
+    return (order == 1 or order > n) and len(classes) == len(xi)
 
 
 def dipper_mathas_classes(

@@ -97,15 +97,6 @@ def residue_vector(
     return ResidueVector(e, tuple(counts))
 
 
-def proxy_block_key(
-    mp: Multipartition, charges: Sequence[int], e: int
-) -> ResidueVector:
-    """The residue vector used as a stand-in for block membership: two
-    multipartitions of equal rank lie in the same proxy block iff their
-    keys are equal."""
-    return residue_vector(mp, charges, e)
-
-
 def residue_weight(rv: ResidueVector, charges: Sequence[int]) -> int:
     """The weight from a residue vector:
     sum_i c_{s_i} - (1/2) sum_{i mod e} (c_i - c_{i-1})^2."""

@@ -36,6 +36,14 @@ def test_hooks_no_diagonal(capsys):
     assert "size = 8" in out
 
 
+@pytest.mark.parametrize("mod", ["0", "-3"])
+def test_hooks_bad_mod_exits_2_before_output(capsys, mod):
+    code, out, err = run(capsys, "hooks", "3.1|2.1.1", "--charge", "0,2", "--mod", mod)
+    assert code == 2
+    assert out == ""
+    assert "--mod must be positive" in err
+
+
 def test_defect_command(capsys):
     code, out, _ = run(capsys, "defect", "3.1|2.1.1", "--charge", "0,2", "--e", "2")
     assert code == 0

@@ -11,7 +11,11 @@ from cycloschur.groups import (
     yokonuma_block_key,
     yokonuma_defect,
 )
-from cycloschur.partitions import enumerate_multipartitions, parse_multipartition
+from cycloschur.partitions import (
+    enumerate_multipartitions,
+    format_multipartition,
+    parse_multipartition,
+)
 from cycloschur.schur import (
     BadSpecialisationError,
     CycloSpec,
@@ -60,6 +64,19 @@ def test_orbit_stabilizer_product():
             for mp in enumerate_multipartitions(d * p, n):
                 orb = orbit(mp, d, p)
                 assert orb.size * orb.stabilizer == p
+
+
+def test_orbit_of_component_texts_matches_sigma():
+    # the CSV passes component texts; the reference walks sigma until it returns
+    for d, p in [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)]:
+        for n in range(0, 4):
+            for mp in enumerate_multipartitions(d * p, n):
+                size, current = 1, sigma(mp, d)
+                while current != mp:
+                    size, current = size + 1, sigma(current, d)
+                texts = tuple(format_multipartition(mp).split("|"))
+                assert orbit(texts, d, p).size == size
+                assert orbit(mp, d, p).size == size
 
 
 def test_glpn_defect_reduces_to_general_at_p1():

@@ -8,7 +8,6 @@ from cycloschur.partitions import (
     Multipartition,
     Node,
     Partition,
-    charged_content,
     enumerate_multipartitions,
     format_multipartition,
     generalized_hook,
@@ -115,12 +114,6 @@ def test_bar_examples():
     assert Multipartition([(2,), (1,), (1, 1)]).bar() == (2, 1, 1, 1)
     assert Multipartition([(3, 1), (2, 1, 1)]).bar() == (3, 2, 1, 1, 1)
     assert Multipartition([(), (), ()]).bar() == ()
-
-
-def test_charged_content():
-    assert charged_content(Node(0, 1, 1), 0) == 1
-    assert charged_content(Node(0, 2, 1), 0) == 0
-    assert charged_content(Node(0, 1, 3), 2) == 5
 
 
 def test_multipartition_nodes_and_rank():

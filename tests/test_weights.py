@@ -20,7 +20,6 @@ from cycloschur.weights import (
     ecore_classical,
     fayers_weight,
     normalized_instance,
-    proxy_block_key,
     residue_vector,
     uglov_weight,
 )
@@ -205,11 +204,11 @@ def test_bgo_negative_control_at_level_two():
 
 
 def test_proxy_block_key_examples():
-    a = proxy_block_key(Multipartition([(1,), ()]), (0, 0), 2)
-    b = proxy_block_key(Multipartition([(), (1,)]), (0, 0), 2)
+    a = residue_vector(Multipartition([(1,), ()]), (0, 0), 2)
+    b = residue_vector(Multipartition([(), (1,)]), (0, 0), 2)
     assert a == b
-    c = proxy_block_key(Multipartition([(2,), ()]), (0, 0), 2)
-    d = proxy_block_key(Multipartition([(1, 1), ()]), (0, 0), 2)
+    c = residue_vector(Multipartition([(2,), ()]), (0, 0), 2)
+    d = residue_vector(Multipartition([(1, 1), ()]), (0, 0), 2)
     assert c == d
 
 
@@ -222,7 +221,7 @@ def test_proxy_blocks_have_constant_weight_and_defect():
                 for s in combinations_with_replacement(range(e), l):
                     by_key = {}
                     for mp in enumerate_multipartitions(l, n):
-                        key = proxy_block_key(mp, s, e)
+                        key = residue_vector(mp, s, e)
                         by_key.setdefault(key.counts, set()).add(
                             (fayers_weight(mp, s, e), defect_integer(mp, s, e))
                         )
@@ -235,7 +234,7 @@ def test_defect_zero_singletons_at_level_one():
             by_key = {}
             for p in partitions_of(n):
                 mp = Multipartition([p])
-                by_key.setdefault(proxy_block_key(mp, (0,), e).counts, []).append(mp)
+                by_key.setdefault(residue_vector(mp, (0,), e).counts, []).append(mp)
             for members in by_key.values():
                 if any(fayers_weight(mp, (0,), e) == 0 for mp in members):
                     assert len(members) == 1
