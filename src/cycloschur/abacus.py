@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from functools import cached_property
 from operator import gt
 from typing import Sequence
 
@@ -104,6 +105,12 @@ class BetaConfig:
     @property
     def level(self) -> int:
         return len(self.runners)
+
+    @cached_property
+    def active(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
+        """``active_beads`` of this configuration, computed once and shared
+        by the reduction and the hook count."""
+        return active_beads(self)
 
 
 def multi_beta(
@@ -329,18 +336,17 @@ def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
         raise ValueError("e must be at least 2")
     if not in_fundamental_domain(cfg.charges, e):
         raise ValueError("multicharge outside the fundamental domain")
-    g, beads = active_beads(cfg)
+    g, beads = cfg.active
+    level = cfg.level
     top = max((r[0] for r in beads if r), default=g - 1)
-    prefix = [cfg.level] * (top - g + 1)
+    prefix = [level] * (top - g + 1)
     for runner in beads:
         for x in runner:
             prefix[x - g] -= 1
     for i in range(e, len(prefix)):
         prefix[i] += prefix[i - e]
     sets = [set(r) for r in beads]
-    total = sum(
-        len(sets[c] - sets[t]) for c in range(cfg.level) for t in range(c + 1, cfg.level)
-    )
+    total = sum(len(sets[c] - sets[t]) for c in range(level) for t in range(c + 1, level))
     for runner in beads:
         for x in runner:
             if x - g >= e:

@@ -2,13 +2,18 @@
 
 Exit codes: 0 success (scan: no violation), 1 invariant violation,
 2 malformed input, bad parameters, a malformed environment or an I/O
-error, 3 bad specialisation.
+error, 3 bad specialisation, 4 internal error (any other exception,
+reported in one line on stderr).
 
 The scan enumerates all multipartitions of a given level and rank,
 groups them by residue vector (the proxy block key) and checks that the
 weight computed from residues, the weight computed by the bead
 reduction, the defect read off the Schur factors and the divisible-hook
-count all agree, member by member and across each block.  Reports are
+count all agree, member by member and across each block, and that all
+members of a block share one core and core multicharge.  Each worker
+builds, once per scan, the text, residue counts and beta-numbers of
+every (partition, charge) it meets and the read-back of every terminal
+state, and assembles each member from those tables.  Reports are
 merged in enumeration order, so the output is byte-identical for any
 worker count.  The default worker count is taken from the environment
 variable CYCLOSCHUR_JOBS.
@@ -31,6 +36,7 @@ from .partitions import (
     enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
+    format_partition,
     parse_multicharge,
     parse_multipartition,
 )
@@ -41,13 +47,14 @@ EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BAD_SPECIALISATION = 3
+EXIT_INTERNAL = 4
 
 
 @dataclass(frozen=True)
 class BlockReport:
     """One proxy block: key, members in enumeration order, the common
-    weight/defect, the core of its first member, and whether any member
-    disagreed on any of the four defect computations."""
+    weight/defect and core, and whether any member disagreed on any of
+    the four defect computations or on the core."""
 
     key: tuple[int, ...]
     members: tuple[str, ...]
@@ -141,28 +148,54 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _member_record(mp: Multipartition, charges, e: int, m: int):
-    # the residue vector and the beta-numbers are built once and shared;
-    # each of the four routes runs once
-    rv = weights.residue_vector(mp, charges, e)
-    cfg = abacus.multi_beta(mp, charges, m)
-    cr = weights.core(mp, charges, e, m, beta=cfg)
+def _component(p, s: int, e: int, m: int) -> tuple:
+    # everything a member needs from one of its components under its charge
     return (
-        format_multipartition(mp),
+        format_partition(p),
+        weights.residue_counts(p, s, e),
+        abacus.beta_numbers(p, s, m),
+    )
+
+
+def _member_record(mp: Multipartition, comps, charges, e: int, m: int, cores: dict):
+    # comps holds the ``_component`` entry of each component; each of the
+    # four routes runs once, and each core is read back once per chunk
+    texts, counts, runners = zip(*comps)
+    rv = weights.ResidueVector(e, tuple(map(sum, zip(*counts))))
+    cfg = abacus.BetaConfig(runners, charges, m)
+    g, packed, moves = weights.terminal_counts(cfg, e)
+    core = cores.get((g, packed))
+    if core is None:
+        core_mp, core_charges = weights.read_core(g, packed, cfg.level)
+        core = cores[(g, packed)] = (format_multipartition(core_mp), core_charges)
+    return (
+        "|".join(texts),
         rv.counts,
         weights.residue_weight(rv, charges),
-        cr.weight,
+        moves,
         schur.defect_integer(mp, charges, e),
         abacus.count_divisible_hooks(cfg, e),
-        format_multipartition(cr.core),
-        cr.charges,
+        *core,
     )
 
 
 def _scan_chunk(args) -> list:
     l, n, e, charges, m, start, stop = args
-    mps = islice(enumerate_multipartitions(l, n), start, stop)
-    return [_member_record(mp, charges, e, m) for mp in mps]
+    # per-chunk tables, so that each (partition, charge) and each core is
+    # built once: parts has one entry per partition of at most n and
+    # charge, cores one per terminal state
+    parts: dict = {}
+    cores: dict = {}
+    records = []
+    for mp in islice(enumerate_multipartitions(l, n), start, stop):
+        comps = []
+        for key in zip(mp, charges):
+            entry = parts.get(key)
+            if entry is None:
+                entry = parts[key] = _component(*key, e, m)
+            comps.append(entry)
+        records.append(_member_record(mp, comps, charges, e, m, cores))
+    return records
 
 
 def scan(
@@ -209,16 +242,18 @@ def scan(
 
     blocks = []
     for key, members in grouped.items():
+        first = members[0]
         values = {v for rec in members for v in rec[2:6]}
         blocks.append(
             BlockReport(
                 key=key,
                 members=tuple(rec[0] for rec in members),
-                weight=members[0][2],
-                defect=members[0][4],
-                core=members[0][6],
-                core_charges=members[0][7],
-                violation=len(values) > 1,
+                weight=first[2],
+                defect=first[4],
+                core=first[6],
+                core_charges=first[7],
+                violation=len(values) > 1
+                or any(rec[6:] != first[6:] for rec in members),
             )
         )
     return ScanReport(l, n, e, norm, m, tuple(blocks))
@@ -577,6 +612,10 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except Exception as exc:
+        # a fault of the program, not a counterexample: keep it off code 1
+        print(f"internal error: {exc!r}", file=sys.stderr)
+        return EXIT_INTERNAL
 
 
 def entrypoint() -> None:

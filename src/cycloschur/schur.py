@@ -29,8 +29,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, index, mul, sub
+from itertools import accumulate, repeat
+from operator import add, getitem, index, mul, sub
 from typing import Iterable, Sequence
 
 from .partitions import Multipartition, n_invariant
@@ -283,23 +283,47 @@ def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
     """The e-defect from the factor structure.
 
     For e >= 2 it counts the factors whose (charged) hook is divisible
-    by e, zero charged hooks included.  For e = 1 the q-integer factors
-    never contribute and the count is the number of pair factors with a
-    nonzero charged hook, which is n(l-1) whenever the multicharge never
-    produces a zero charged hook.
+    by e, zero charged hooks included, column by column without listing
+    the factors.  The box (i, j) of component a has the charged hook
+    lam^a_i - i + lam^b'_j - j + 1 + s_a - s_b against component b
+    (b = a gives its q-integer factor), which is divisible by e exactly
+    when lam^a_i - i = j - 1 - lam^b'_j - s_a + s_b mod e.  With the
+    row-residue prefix counts R_a[k][r] = #{i <= k : lam^a_i - i = r mod e}
+    the defect is
+
+        sum_a sum_b sum_{j=1}^{lam^a_1} R_a[lam^a'_j][(j - 1 - lam^b'_j - s_a + s_b) mod e].
+
+    The code counts lam^a_i - i + s_a in R_a and indexes it by
+    j - 1 - lam^b'_j + s_b, so that each charge enters once per component
+    and not once per pair (a, b).
+
+    For e = 1 the q-integer factors never contribute and the count is
+    the number of pair factors with a nonzero charged hook, which is
+    n(l-1) whenever the multicharge never produces a zero charged hook.
     """
     if e < 1:
         raise ValueError("e must be positive")
     if len(charges) != mp.level:
         raise ValueError("multicharge length must equal the level")
-    f = schur_factors(mp)
     if e == 1:
+        f = schur_factors(mp)
         return sum(1 for h, a, b in f.pair_factors if h + charges[a] - charges[b] != 0)
-    total = sum(1 for h in f.q_integers if h % e == 0)
-    total += sum(
-        1 for h, a, b in f.pair_factors if (h + charges[a] - charges[b]) % e == 0
-    )
-    return total
+    width = max((comp[0] for comp in mp if comp), default=0)
+    rows, shifts = [], []
+    for comp, s in zip(mp, charges):
+        # the column lengths lam'_j, padded with zeros to the widest component
+        ends = [0] * width
+        for part in comp:
+            ends[part - 1] += 1
+        cols = list(accumulate(reversed(ends)))[::-1]
+        prefix = [(0,) * e]
+        counts = [0] * e
+        for i, part in enumerate(comp, start=1):
+            counts[(part - i + s) % e] += 1
+            prefix.append(tuple(counts))
+        rows.append([prefix[k] for k in cols[: comp[0]]] if comp else [])
+        shifts.append([(j - k + s) % e for j, k in enumerate(cols)])
+    return sum(sum(map(getitem, r, v)) for r in rows for v in shifts)
 
 
 @dataclass(frozen=True)

@@ -24,6 +24,11 @@ so the weight is the potential of the start minus that of the terminal
 state, over e.  Only positions from the lowest gap of all runners
 upward take part (``abacus.active_beads``): below it every runner is
 full and nothing moves, so the cost does not grow with the window.
+``core`` has two halves: ``terminal_counts`` does the counting above
+and returns the lowest gap g, the packed counts and the weight, and
+``read_core`` turns g and the packed counts into the core and its
+charges.  Many members share one terminal state, so the scan runs the
+counting for each member and the read-back once per distinct state.
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -47,7 +52,6 @@ from typing import Sequence
 
 from .abacus import (
     BetaConfig,
-    active_beads,
     in_fundamental_domain,
     multi_beta,
     normalize_multicharge,
@@ -81,20 +85,27 @@ class ResidueVector:
         return sum(self.counts)
 
 
+def residue_counts(p: Partition, s: int, e: int) -> tuple[int, ...]:
+    """Count the boxes of one component in each residue class
+    (col - row + s) mod e."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    counts = [0] * e
+    for i, part in enumerate(p, start=1):
+        for j in range(1, part + 1):
+            counts[(j - i + s) % e] += 1
+    return tuple(counts)
+
+
 def residue_vector(
     mp: Multipartition, charges: Sequence[int], e: int
 ) -> ResidueVector:
-    """Count the boxes of each residue class (col - row + s_a) mod e."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
+    """Count the boxes of each residue class (col - row + s_a) mod e: the
+    sum of the ``residue_counts`` of the components."""
     if len(charges) != mp.level:
         raise ValueError("multicharge length must equal the level")
-    counts = [0] * e
-    for comp, s in zip(mp, charges):
-        for i, part in enumerate(comp, start=1):
-            for j in range(1, part + 1):
-                counts[(j - i + s) % e] += 1
-    return ResidueVector(e, tuple(counts))
+    per_comp = [residue_counts(comp, s, e) for comp, s in zip(mp, charges)]
+    return ResidueVector(e, tuple(map(sum, zip(*per_comp))))
 
 
 def residue_weight(rv: ResidueVector, charges: Sequence[int]) -> int:
@@ -124,7 +135,7 @@ def _reduce_runners(
 
     Without an rng the first eligible move of the active step is taken;
     with one, a uniformly random eligible move.  This is the cross-check
-    for ``_reduce``, which never moves a bead.
+    for ``core``, which never moves a bead.
     """
     floor = 1 - m
     level = len(runners)
@@ -195,18 +206,20 @@ class CoreResult:
         }
 
 
-def _reduce(cfg: BetaConfig, e: int) -> CoreResult:
-    """The terminal state and the move count of the reduction, from the
-    bead counts b[y] of the active region (see the module docstring)."""
+def terminal_counts(cfg: BetaConfig, e: int) -> tuple[int, tuple[int, ...], int]:
+    """The counting half of ``core``: the lowest gap g, the packed bead
+    counts of the terminal state at g, g + 1, ..., and the number of moves
+    (see the module docstring).  The multicharge of cfg must lie in the
+    fundamental domain, which ``core`` checks."""
     level = cfg.level
-    g, beads = active_beads(cfg)
+    g, beads = cfg.active
     top = max((r[0] for r in beads if r), default=g - 1)
     counts = [0] * (top - g + 1)
     potential = 0
     for c, runner in enumerate(beads):
         for x in runner:
             counts[x - g] += 1
-            potential += level * x - e * c
+        potential += level * sum(runner) - e * c * len(runner)
     packed = [0] * len(counts)
     for r in range(e):
         left = sum(counts[r::e])
@@ -221,6 +234,14 @@ def _reduce(cfg: BetaConfig, e: int) -> CoreResult:
     moves, rest = divmod(potential, e)
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
+    return g, tuple(packed), moves
+
+
+def read_core(
+    g: int, packed: Sequence[int], level: int
+) -> tuple[Multipartition, tuple[int, ...]]:
+    """The read-back half of ``core``: the core multipartition and its
+    charges from the packed bead counts of ``terminal_counts``."""
     # a runner with k beads at or above g has m + g - 1 more below them,
     # so its charge is k + g - 1
     comps, charges = [], []
@@ -229,7 +250,7 @@ def _reduce(cfg: BetaConfig, e: int) -> CoreResult:
         s = len(xs) + g - 1
         comps.append(Partition(x + i - s for i, x in enumerate(xs)))
         charges.append(s)
-    return CoreResult(Multipartition(comps), tuple(charges), moves)
+    return Multipartition(comps), tuple(charges)
 
 
 def core(
@@ -250,7 +271,8 @@ def core(
         beta = multi_beta(mp, charges, m)
     elif beta.charges != tuple(charges) or m not in (None, beta.m):
         raise ValueError("beta-numbers built for other charges or another window")
-    return _reduce(beta, e)
+    g, packed, moves = terminal_counts(beta, e)
+    return CoreResult(*read_core(g, packed, beta.level), moves)
 
 
 def _remove_rim_hook(p: Partition, i: int, j: int) -> Partition:
@@ -285,9 +307,7 @@ def ecore_classical(p: Partition, e: int) -> tuple[Partition, int]:
 def ecore_abacus(p: Partition, e: int) -> tuple[Partition, int]:
     """The e-core by sliding beads left by e on a single runner; the
     independent oracle for ``ecore_classical``."""
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    result = _reduce(multi_beta(Multipartition([p]), (0,), len(p) + 1), e)
+    result = core(Multipartition([p]), (0,), e, len(p) + 1)
     if result.charges != (0,):
         raise ArithmeticError("a single runner must keep its charge")
     return result.core[0], result.weight

@@ -1,10 +1,19 @@
 import csv
 import json
+from itertools import combinations_with_replacement
 
 import pytest
 
-from cycloschur import cli
-from cycloschur.cli import ScanReport, main, scan, write_scan_csv
+from cycloschur import abacus, cli, weights
+from cycloschur.abacus import count_divisible_hooks, multi_beta
+from cycloschur.cli import BlockReport, ScanReport, main, scan, write_scan_csv
+from cycloschur.partitions import (
+    enumerate_multipartitions,
+    format_multipartition,
+    parse_multipartition,
+)
+from cycloschur.schur import defect_integer
+from cycloschur.weights import core, residue_vector, residue_weight
 
 
 def run(capsys, *argv):
@@ -303,3 +312,82 @@ def test_scan_keeps_no_per_member_cache():
             info = getattr(value, "cache_info", None)
             if info is not None:
                 assert info().currsize < members, (name, value)
+
+
+def reference_scan(l, n, e, charges):
+    """The report of ``scan`` built member by member from the public
+    routes, with no per-scan tables; charges sorted in [0, e)."""
+    m = n + max(charges) + 1
+    grouped = {}
+    for mp in enumerate_multipartitions(l, n):
+        rv = residue_vector(mp, charges, e)
+        cr = core(mp, charges, e, m)
+        values = {
+            residue_weight(rv, charges),
+            cr.weight,
+            defect_integer(mp, charges, e),
+            count_divisible_hooks(multi_beta(mp, charges, m), e),
+        }
+        assert len(values) == 1, (mp, charges, e, values)
+        row = (format_multipartition(mp), values.pop(), format_multipartition(cr.core), cr.charges)
+        grouped.setdefault(rv.counts, []).append(row)
+    blocks = []
+    for key, rows in grouped.items():
+        _, value, core_text, core_charges = rows[0]
+        assert {row[1:] for row in rows} == {rows[0][1:]}, (key, rows)
+        members = tuple(row[0] for row in rows)
+        blocks.append(BlockReport(key, members, value, value, core_text, core_charges, False))
+    return ScanReport(l, n, e, tuple(charges), m, tuple(blocks))
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_scan_matches_member_by_member_reference(l, e):
+    # every multicharge the scan normalises to; equal partitions under
+    # different charges, and chunks that each build their own tables, must
+    # give the reference report
+    for charges in combinations_with_replacement(range(e), l):
+        for n in range(7):
+            expected = reference_scan(l, n, e, charges)
+            for jobs in (1, 2):
+                assert scan(l, n, e, charges, jobs=jobs) == expected, (l, n, e, charges, jobs)
+
+
+def test_scan_computes_active_beads_once_per_member(monkeypatch):
+    calls = []
+    real = abacus.active_beads
+
+    def counting(cfg):
+        calls.append(cfg)
+        return real(cfg)
+
+    monkeypatch.setattr(abacus, "active_beads", counting)
+    report = scan(2, 5, 2, (0, 1))
+    assert report.violations == 0
+    assert len(calls) == sum(len(b.members) for b in report.blocks)
+
+
+def test_scan_detects_core_mutation(monkeypatch, capsys):
+    # one member's terminal state is lifted by one position: its weight and
+    # defect stay right, but its core charges move, so only the core check sees it
+    target = multi_beta(parse_multipartition("2.1|0"), (0, 1), 5).runners
+    original = weights.terminal_counts
+
+    def broken(cfg, e):
+        g, packed, moves = original(cfg, e)
+        return (g + 1, packed, moves) if cfg.runners == target else (g, packed, moves)
+
+    monkeypatch.setattr(cli.weights, "terminal_counts", broken)
+    code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
+    assert code == 1
+    assert out.count("VIOLATION") == 1
+
+
+def test_internal_error_exits_4(monkeypatch, capsys):
+    def broken(cfg, e):
+        raise ArithmeticError("the reduction potential must fall by a multiple of e")
+
+    monkeypatch.setattr(cli.weights, "terminal_counts", broken)
+    code, out, err = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2")
+    assert (code, out) == (4, "")
+    assert err.startswith("internal error: ArithmeticError") and err.count("\n") == 1

@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -6,6 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from cycloschur.abacus import charged_hooks_direct
 from cycloschur.partitions import (
     Multipartition,
     enumerate_multipartitions,
@@ -164,6 +166,23 @@ def test_defect_integer_known_values():
     assert defect_integer(parse_multipartition("3.1|2.1.1"), (0, 2), 2) == 8
     assert defect_integer(parse_multipartition("2|1|1.1"), (0, 1, 2), 3) == 1
     assert defect_integer(parse_multipartition("2.1.1|2.1.1"), (0, 2), 3) == 4
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_column_count_matches_factor_and_hook_counts(e):
+    # the column count of defect_integer against the e-divisible entries of
+    # the factor lists and of the charged-hook multiset, negative charges included
+    rng = random.Random(e)
+    for l in (1, 2, 3):
+        for n in range(7):
+            for mp in enumerate_multipartitions(l, n):
+                s = tuple(rng.randint(-7, 9) for _ in range(l))
+                f = schur_factors(mp)
+                factors = sum(1 for h in f.q_integers if h % e == 0) + sum(
+                    1 for h, a, b in f.pair_factors if (h + s[a] - s[b]) % e == 0
+                )
+                hooks = sum(m for v, m in charged_hooks_direct(mp, s).items if v % e == 0)
+                assert defect_integer(mp, s, e) == factors == hooks, (mp, s, e)
 
 
 def test_defect_large_e_vanishes():
