@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from functools import cached_property
 from operator import gt
 from typing import Sequence
 
@@ -106,12 +105,6 @@ class BetaConfig:
     def level(self) -> int:
         return len(self.runners)
 
-    @cached_property
-    def active(self) -> tuple[int, tuple[tuple[int, ...], ...]]:
-        """``active_beads`` of this configuration, computed once and shared
-        by the reduction and the hook count."""
-        return active_beads(self)
-
 
 def multi_beta(
     mp: Multipartition, charges: Sequence[int], m: int | None = None
@@ -150,9 +143,6 @@ class ChargedHooks:
 
     def __contains__(self, value: int) -> bool:
         return self.multiplicity(value) > 0
-
-    def counter(self) -> Counter:
-        return Counter(dict(self.items))
 
     def elements(self) -> tuple[int, ...]:
         """The multiset expanded into a sorted tuple."""
@@ -336,7 +326,7 @@ def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
         raise ValueError("e must be at least 2")
     if not in_fundamental_domain(cfg.charges, e):
         raise ValueError("multicharge outside the fundamental domain")
-    g, beads = cfg.active
+    g, beads = active_beads(cfg)
     level = cfg.level
     top = max((r[0] for r in beads if r), default=g - 1)
     prefix = [level] * (top - g + 1)

@@ -10,13 +10,15 @@ groups them by residue vector (the proxy block key) and checks that the
 weight computed from residues, the weight computed by the bead
 reduction, the defect read off the Schur factors and the divisible-hook
 count all agree, member by member and across each block, and that all
-members of a block share one core and core multicharge.  Each worker
-builds, once per scan, the text, residue counts and beta-numbers of
-every (partition, charge) it meets and the read-back of every terminal
-state, and assembles each member from those tables.  Reports are
-merged in enumeration order, so the output is byte-identical for any
-worker count.  The default worker count is taken from the environment
-variable CYCLOSCHUR_JOBS.
+members of a block share one core and core multicharge, which no other
+block shares.  Each worker builds, once per scan, an entry for every
+(partition, charge) it meets (text, residue counts, beta-numbers, the
+column tables of ``schur.defect_integer`` and the class summary of
+``weights.bead_classes``) and a core for every class-totals vector,
+assembles each member from those tables and groups its members into
+blocks.  The partial blocks are merged in enumeration order, so the
+output is byte-identical for any worker count, which is taken by
+default from the environment variable CYCLOSCHUR_JOBS.
 """
 
 from __future__ import annotations
@@ -26,13 +28,14 @@ import csv
 import json
 import os
 import sys
+from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from itertools import islice
 
 from . import abacus, groups, schur, weights
 from .partitions import (
-    Multipartition,
+    count_multipartitions,
     enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
@@ -148,54 +151,53 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _component(p, s: int, e: int, m: int) -> tuple:
+def _component(p, s: int, e: int, m: int, width: int) -> tuple:
     # everything a member needs from one of its components under its charge
+    beta = abacus.beta_numbers(p, s, m)
     return (
         format_partition(p),
         weights.residue_counts(p, s, e),
-        abacus.beta_numbers(p, s, m),
+        beta,
+        schur.column_tables(p, s, e, width),
+        weights.bead_classes(beta, e),
     )
 
 
-def _member_record(mp: Multipartition, comps, charges, e: int, m: int, cores: dict):
-    # comps holds the ``_component`` entry of each component; each of the
-    # four routes runs once, and each core is read back once per chunk
-    texts, counts, runners = zip(*comps)
-    rv = weights.ResidueVector(e, tuple(map(sum, zip(*counts))))
-    cfg = abacus.BetaConfig(runners, charges, m)
-    g, packed, moves = weights.terminal_counts(cfg, e)
-    core = cores.get((g, packed))
-    if core is None:
-        core_mp, core_charges = weights.read_core(g, packed, cfg.level)
-        core = cores[(g, packed)] = (format_multipartition(core_mp), core_charges)
-    return (
-        "|".join(texts),
-        rv.counts,
-        weights.residue_weight(rv, charges),
-        moves,
-        schur.defect_integer(mp, charges, e),
-        abacus.count_divisible_hooks(cfg, e),
-        *core,
-    )
-
-
-def _scan_chunk(args) -> list:
+def _scan_chunk(args) -> dict:
     l, n, e, charges, m, start, stop = args
     # per-chunk tables, so that each (partition, charge) and each core is
     # built once: parts has one entry per partition of at most n and
-    # charge, cores one per terminal state
+    # charge, cores one per class-totals vector (one per block)
     parts: dict = {}
     cores: dict = {}
-    records = []
+    # residue vector -> [members, weight, defect, core, core charges, violation]
+    blocks: dict = {}
     for mp in islice(enumerate_multipartitions(l, n), start, stop):
         comps = []
         for key in zip(mp, charges):
             entry = parts.get(key)
             if entry is None:
-                entry = parts[key] = _component(*key, e, m)
+                entry = parts[key] = _component(*key, e, m, n)
             comps.append(entry)
-        records.append(_member_record(mp, comps, charges, e, m, cores))
-    return records
+        texts, counts, runners, tables, summaries = zip(*comps)
+        rv = weights.ResidueVector(e, tuple(map(sum, zip(*counts))))
+        cfg = abacus.BetaConfig(runners, charges, m)
+        totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
+        core = cores.get(totals)
+        if core is None:
+            packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
+            core_mp, core_charges = weights.read_core(1 - m, packed, l)
+            core = cores[totals] = (format_multipartition(core_mp), core_charges, terminal)
+        weight = weights.residue_weight(rv, charges)
+        moves = weights.reduction_moves(summaries, core[2], e)
+        defect = schur.defect_integer(mp, charges, e, tables=tables)
+        hooks = abacus.count_divisible_hooks(cfg, e)
+        agree = weight == moves == defect == hooks
+        block = blocks.setdefault(rv.counts, [[], weight, defect, core[0], core[1], False])
+        block[0].append("|".join(texts))
+        if not agree or weight != block[1] or core[0] != block[3] or core[1] != block[4]:
+            block[5] = True
+    return blocks
 
 
 def scan(
@@ -225,38 +227,35 @@ def scan(
         raise ValueError("window must be positive")
 
     if jobs == 1:
-        records = _scan_chunk((l, n, e, norm, m, 0, None))
+        partials = [_scan_chunk((l, n, e, norm, m, 0, None))]
     else:
-        total = sum(1 for _ in enumerate_multipartitions(l, n))
+        total = count_multipartitions(l, n)
         size = -(-total // jobs)
         chunks = [
             (l, n, e, norm, m, start, min(start + size, total))
             for start in range(0, total, size)
         ]
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = [rec for part in pool.map(_scan_chunk, chunks) for rec in part]
+            partials = list(pool.map(_scan_chunk, chunks))
 
-    grouped: dict[tuple[int, ...], list] = {}
-    for rec in records:
-        grouped.setdefault(rec[1], []).append(rec)
-
-    blocks = []
-    for key, members in grouped.items():
-        first = members[0]
-        values = {v for rec in members for v in rec[2:6]}
-        blocks.append(
-            BlockReport(
-                key=key,
-                members=tuple(rec[0] for rec in members),
-                weight=first[2],
-                defect=first[4],
-                core=first[6],
-                core_charges=first[7],
-                violation=len(values) > 1
-                or any(rec[6:] != first[6:] for rec in members),
-            )
+    # chunk order is enumeration order, so blocks keep their first appearance
+    merged: dict = {}
+    for part in partials:
+        for key, block in part.items():
+            first = merged.setdefault(key, block)
+            if first is not block:
+                first[0].extend(block[0])
+                first[5] = first[5] or block[5] or block[1:5] != first[1:5]
+    # core injectivity: no two blocks may share (core, core charges)
+    shared = Counter((block[3], block[4]) for block in merged.values())
+    blocks = tuple(
+        BlockReport(
+            key, tuple(members), weight, defect, core, core_charges,
+            violation or shared[core, core_charges] > 1,
         )
-    return ScanReport(l, n, e, norm, m, tuple(blocks))
+        for key, (members, weight, defect, core, core_charges, violation) in merged.items()
+    )
+    return ScanReport(l, n, e, norm, m, blocks)
 
 
 def _check_packages(level: int, p: int | None) -> None:

@@ -18,6 +18,7 @@ from __future__ import annotations
 
 from collections import Counter
 from functools import lru_cache
+from math import prod
 from itertools import product
 from typing import Iterable, Iterator, NamedTuple
 
@@ -166,6 +167,11 @@ def enumerate_multipartitions(l: int, n: int) -> Iterator[Multipartition]:
     for ranks in _compositions(n, l):
         for combo in product(*(partitions_of(k) for k in ranks)):
             yield Multipartition(combo)
+
+
+def count_multipartitions(l: int, n: int) -> int:
+    """The number of l-multipartitions of rank n, from the partition numbers."""
+    return sum(prod(len(partitions_of(k)) for k in ranks) for ranks in _compositions(n, l))
 
 
 def format_partition(p: Partition) -> str:

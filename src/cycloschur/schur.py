@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import accumulate, repeat
+from itertools import repeat
 from operator import add, getitem, index, mul, sub
 from typing import Iterable, Sequence
 
@@ -279,7 +279,24 @@ def specialize_integer(mp: Multipartition, charges: Sequence[int]) -> LaurentPol
     return poly
 
 
-def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
+def column_tables(p, s: int, e: int, width: int) -> tuple[list, list[int]]:
+    """The tables ``defect_integer`` reads for the component p under the
+    charge s (e >= 2), its column lengths padded to ``width``, at least the
+    widest component: the prefix counts R[lam'_j] for j = 1..lam_1, and the
+    shifts (j - 1 - lam'_j + s) mod e for j = 1..width."""
+    cols = [sum(1 for part in p if part > j) for j in range(width)]
+    prefix = [(0,) * e]
+    counts = [0] * e
+    for i, part in enumerate(p, start=1):
+        counts[(part - i + s) % e] += 1
+        prefix.append(tuple(counts))
+    rows = [prefix[k] for k in cols[: p[0]]] if p else []
+    return rows, [(j - k + s) % e for j, k in enumerate(cols)]
+
+
+def defect_integer(
+    mp: Multipartition, charges: Sequence[int], e: int, *, tables: Sequence | None = None
+) -> int:
     """The e-defect from the factor structure.
 
     For e >= 2 it counts the factors whose (charged) hook is divisible
@@ -295,7 +312,8 @@ def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
 
     The code counts lam^a_i - i + s_a in R_a and indexes it by
     j - 1 - lam^b'_j + s_b, so that each charge enters once per component
-    and not once per pair (a, b).
+    and not once per pair (a, b).  ``tables`` takes the ``column_tables``
+    of the components when the caller has built them already.
 
     For e = 1 the q-integer factors never contribute and the count is
     the number of pair factors with a nonzero charged hook, which is
@@ -308,22 +326,12 @@ def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
     if e == 1:
         f = schur_factors(mp)
         return sum(1 for h, a, b in f.pair_factors if h + charges[a] - charges[b] != 0)
-    width = max((comp[0] for comp in mp if comp), default=0)
-    rows, shifts = [], []
-    for comp, s in zip(mp, charges):
-        # the column lengths lam'_j, padded with zeros to the widest component
-        ends = [0] * width
-        for part in comp:
-            ends[part - 1] += 1
-        cols = list(accumulate(reversed(ends)))[::-1]
-        prefix = [(0,) * e]
-        counts = [0] * e
-        for i, part in enumerate(comp, start=1):
-            counts[(part - i + s) % e] += 1
-            prefix.append(tuple(counts))
-        rows.append([prefix[k] for k in cols[: comp[0]]] if comp else [])
-        shifts.append([(j - k + s) % e for j, k in enumerate(cols)])
-    return sum(sum(map(getitem, r, v)) for r in rows for v in shifts)
+    if tables is None:
+        width = max((comp[0] for comp in mp if comp), default=0)
+        tables = [column_tables(comp, s, e, width) for comp, s in zip(mp, charges)]
+    elif len(tables) != mp.level:
+        raise ValueError("one column table per component required")
+    return sum(sum(map(getitem, r, v)) for r, _ in tables for _, v in tables)
 
 
 @dataclass(frozen=True)

@@ -21,14 +21,17 @@ the beads of each residue class mod e from the bottom, l per position,
 and the nested runners are read off the packed counts.  Every transfer
 lowers the potential sum over beads (c, y) of (l*y - e*c) by exactly e,
 so the weight is the potential of the start minus that of the terminal
-state, over e.  Only positions from the lowest gap of all runners
-upward take part (``abacus.active_beads``): below it every runner is
-full and nothing moves, so the cost does not grow with the window.
-``core`` has two halves: ``terminal_counts`` does the counting above
-and returns the lowest gap g, the packed counts and the weight, and
-``read_core`` turns g and the packed counts into the core and its
-charges.  Many members share one terminal state, so the scan runs the
-counting for each member and the read-back once per distinct state.
+state, over e (``reduction_moves``).  Below the lowest gap of all
+runners every runner is full and nothing moves.
+
+Both depend on a runner only through its class summary
+(``bead_classes``), and the packing only on the class totals summed
+over the runners.  One routine, ``terminal_state``, packs them from a
+base below which every runner is full, and ``read_core`` reads the core
+off the packed counts.  ``core`` packs from the lowest gap of all
+runners (``abacus.active_beads``), so its cost does not grow with the
+window; the scan packs from the window floor 1 - m, once per distinct
+totals vector, from summaries built once per (partition, charge).
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -52,6 +55,7 @@ from typing import Sequence
 
 from .abacus import (
     BetaConfig,
+    active_beads,
     in_fundamental_domain,
     multi_beta,
     normalize_multicharge,
@@ -206,42 +210,52 @@ class CoreResult:
         }
 
 
-def terminal_counts(cfg: BetaConfig, e: int) -> tuple[int, tuple[int, ...], int]:
-    """The counting half of ``core``: the lowest gap g, the packed bead
-    counts of the terminal state at g, g + 1, ..., and the number of moves
-    (see the module docstring).  The multicharge of cfg must lie in the
-    fundamental domain, which ``core`` checks."""
-    level = cfg.level
-    g, beads = cfg.active
-    top = max((r[0] for r in beads if r), default=g - 1)
-    counts = [0] * (top - g + 1)
+def bead_classes(runner: Sequence[int], e: int) -> tuple[tuple[int, ...], int, int]:
+    """A runner's bead counts per residue class mod e, bead sum and bead count."""
+    counts = [0] * e
+    for x in runner:
+        counts[x % e] += 1
+    return tuple(counts), sum(runner), len(runner)
+
+
+def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tuple:
+    """Pack the totals[r] beads of each residue class r mod e from base
+    upward, level per position, and return the packed counts at base,
+    base + 1, ... and the potential of the nested terminal runners (see
+    the module docstring).  Below base every runner must be full."""
+    packed: list[int] = []
     potential = 0
-    for c, runner in enumerate(beads):
-        for x in runner:
-            counts[x - g] += 1
-        potential += level * sum(runner) - e * c * len(runner)
-    packed = [0] * len(counts)
-    for r in range(e):
-        left = sum(counts[r::e])
-        i = r
+    for r, left in enumerate(totals):
+        i = (r - base) % e
         while left:
-            packed[i] = min(left, level)
-            left -= packed[i]
+            b = min(left, level)
+            packed.extend([0] * (i + 1 - len(packed)))
+            packed[i] = b
+            # the b beads at a position sit on the top b components
+            potential += level * (base + i) * b - e * (b * (2 * level - b - 1) // 2)
+            left -= b
             i += e
-    # nested terminal runners: the b beads at a position sit on the top b components
-    for i, b in enumerate(packed):
-        potential -= level * (g + i) * b - e * (b * (2 * level - b - 1) // 2)
-    moves, rest = divmod(potential, e)
+    return packed, potential
+
+
+def reduction_moves(summaries: Sequence[tuple], terminal: int, e: int) -> int:
+    """The number of transfers from the runners with these ``bead_classes``
+    summaries, in component order, to a terminal state of that potential."""
+    level = len(summaries)
+    start = sum(
+        level * total - e * c * size for c, (_, total, size) in enumerate(summaries)
+    )
+    moves, rest = divmod(start - terminal, e)
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
-    return g, tuple(packed), moves
+    return moves
 
 
 def read_core(
     g: int, packed: Sequence[int], level: int
 ) -> tuple[Multipartition, tuple[int, ...]]:
-    """The read-back half of ``core``: the core multipartition and its
-    charges from the packed bead counts of ``terminal_counts``."""
+    """The core multipartition and its charges from the packed bead
+    counts of ``terminal_state`` at g, where every runner is full below g."""
     # a runner with k beads at or above g has m + g - 1 more below them,
     # so its charge is k + g - 1
     comps, charges = [], []
@@ -271,7 +285,11 @@ def core(
         beta = multi_beta(mp, charges, m)
     elif beta.charges != tuple(charges) or m not in (None, beta.m):
         raise ValueError("beta-numbers built for other charges or another window")
-    g, packed, moves = terminal_counts(beta, e)
+    g, beads = active_beads(beta)
+    summaries = [bead_classes(runner, e) for runner in beads]
+    totals = tuple(map(sum, zip(*(counts for counts, _, _ in summaries))))
+    packed, terminal = terminal_state(totals, g, beta.level, e)
+    moves = reduction_moves(summaries, terminal, e)
     return CoreResult(*read_core(g, packed, beta.level), moves)
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
-from itertools import combinations_with_replacement
+import random
+from itertools import combinations_with_replacement, islice
 
 import pytest
 
@@ -247,8 +248,8 @@ def test_scan_detects_seeded_mutation(monkeypatch, capsys):
 
     original = cycloschur.schur.defect_integer
 
-    def broken(mp, charges, e):
-        value = original(mp, charges, e)
+    def broken(mp, charges, e, **kwargs):
+        value = original(mp, charges, e, **kwargs)
         return value + (1 if mp.rank == 3 and mp[0].rank == 3 else 0)
 
     monkeypatch.setattr(cli.schur, "defect_integer", broken)
@@ -368,26 +369,103 @@ def test_scan_computes_active_beads_once_per_member(monkeypatch):
 
 
 def test_scan_detects_core_mutation(monkeypatch, capsys):
-    # one member's terminal state is lifted by one position: its weight and
-    # defect stay right, but its core charges move, so only the core check sees it
-    target = multi_beta(parse_multipartition("2.1|0"), (0, 1), 5).runners
-    original = weights.terminal_counts
+    # the class summary of 2.1 at charge 0, whose only member is 2.1|0, has
+    # one bead moved from class 0 to class 1 and its bead sum shifted so that
+    # the reduction weight stays right: only the core check can see it
+    cfg = multi_beta(parse_multipartition("2.1|0"), (0, 1), 5)
+    original = weights.bead_classes
+    (c0, c1), total, size = original(cfg.runners[0], 2)
+    (d0, d1), _, _ = original(cfg.runners[1], 2)
+    assert (c0 + d0, c1 + d1) == (7, 4)
+    change = (
+        weights.terminal_state((6, 5), 1 - cfg.m, 2, 2)[1]
+        - weights.terminal_state((7, 4), 1 - cfg.m, 2, 2)[1]
+    )
+    assert change == -2
 
-    def broken(cfg, e):
-        g, packed, moves = original(cfg, e)
-        return (g + 1, packed, moves) if cfg.runners == target else (g, packed, moves)
+    def broken(runner, e):
+        if runner == cfg.runners[0]:
+            return (c0 - 1, c1 + 1), total + change // 2, size
+        return original(runner, e)
 
-    monkeypatch.setattr(cli.weights, "terminal_counts", broken)
+    monkeypatch.setattr(cli.weights, "bead_classes", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
     assert code == 1
     assert out.count("VIOLATION") == 1
+    line = out.splitlines()[3]
+    assert "weight=2 defect=2" in line and line.endswith("VIOLATION")
+
+
+def test_scan_detects_shared_core(monkeypatch, capsys):
+    # every member of one block reads back the core of another block: each
+    # block stays constant, and only core injectivity can see it
+    blocks = scan(3, 4, 3, (0, 1, 2)).blocks
+    i, j = sorted(random.Random(7).sample(range(len(blocks)), 2))
+    copied = (parse_multipartition(blocks[i].core), blocks[i].core_charges)
+    original = weights.read_core
+
+    def broken(g, packed, level):
+        core_mp, charges = original(g, packed, level)
+        if (format_multipartition(core_mp), charges) == (blocks[j].core, blocks[j].core_charges):
+            return copied
+        return core_mp, charges
+
+    monkeypatch.setattr(cli.weights, "read_core", broken)
+    code, out, _ = run(capsys, "scan", "--l", "3", "--n", "4", "--e", "3", "--charge", "0,1,2")
+    assert code == 1
+    flagged = [line for line in out.splitlines() if line.endswith("VIOLATION")]
+    assert [line.split(":")[0] for line in flagged] == [f"block {i}", f"block {j}"]
+
+
+class SerialPool:
+    """An in-process stand-in for ProcessPoolExecutor, so that test doubles
+    reach every chunk of a scan with jobs > 1."""
+
+    def __init__(self, max_workers):
+        pass
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, items):
+        return map(fn, items)
+
+
+def test_scan_merge_flags_chunk_mismatch(monkeypatch):
+    # each chunk reads its cores back on its own; a core read back with
+    # other charges the second time leaves every chunk consistent, so only
+    # the comparison of merged partial blocks can see it
+    seen = set()
+    original = weights.read_core
+
+    def broken(g, packed, level):
+        core_mp, charges = original(g, packed, level)
+        if (g, tuple(packed)) in seen:
+            return core_mp, tuple(c + 1 for c in charges)
+        seen.add((g, tuple(packed)))
+        return core_mp, charges
+
+    monkeypatch.setattr(cli.weights, "read_core", broken)
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert scan(2, 6, 2, (0, 1), jobs=1).violations == 0
+    seen.clear()
+    report = scan(2, 6, 2, (0, 1), jobs=2)
+    # the first chunk holds the first ceil(total / 2) members
+    half = -(-sum(len(b.members) for b in report.blocks) // 2)
+    first = {format_multipartition(mp) for mp in islice(enumerate_multipartitions(2, 6), half)}
+    for b in report.blocks:
+        assert b.violation == (b.members[0] in first and b.members[-1] not in first), b
+    assert report.violations > 0
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(cfg, e):
+    def broken(totals, base, level, e):
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
 
-    monkeypatch.setattr(cli.weights, "terminal_counts", broken)
+    monkeypatch.setattr(cli.weights, "terminal_state", broken)
     code, out, err = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ArithmeticError") and err.count("\n") == 1

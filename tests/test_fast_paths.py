@@ -20,7 +20,15 @@ from cycloschur.abacus import (
     multi_beta,
 )
 from cycloschur.partitions import enumerate_multipartitions, parse_multipartition
-from cycloschur.weights import core, uglov_weight
+from cycloschur.weights import (
+    CoreResult,
+    bead_classes,
+    core,
+    read_core,
+    reduction_moves,
+    terminal_state,
+    uglov_weight,
+)
 
 SEEDS = (0, 1, 2)
 
@@ -51,6 +59,28 @@ def test_fast_paths_match_brute_force(l, e):
                     assert result.weight == moves, (mp, s, window)
                     results.append(result)
                 assert results[0] == results[1], (mp, s)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_floor_class_totals_match_core(l, e):
+    # the scan's route: whole-runner class summaries packed from the window
+    # floor, against core and the move-by-move reduction
+    for n in range(7):
+        for index, mp in enumerate(enumerate_multipartitions(l, n)):
+            for s in fundamental_charges(l, e):
+                m = default_window(mp, s)
+                rng = random.Random(SEEDS[index % len(SEEDS)])
+                moves = uglov_weight(mp, s, e, m, rng=rng)
+                for window in (m, 4 * m):
+                    summaries = [bead_classes(r, e) for r in multi_beta(mp, s, window).runners]
+                    totals = tuple(map(sum, zip(*(c for c, _, _ in summaries))))
+                    packed, terminal = terminal_state(totals, 1 - window, l, e)
+                    result = CoreResult(
+                        *read_core(1 - window, packed, l), reduction_moves(summaries, terminal, e)
+                    )
+                    assert result == core(mp, s, e, window), (mp, s, window)
+                    assert result.weight == moves, (mp, s, window)
 
 
 def test_active_beads():

@@ -8,6 +8,7 @@ from cycloschur.partitions import (
     Multipartition,
     Node,
     Partition,
+    count_multipartitions,
     enumerate_multipartitions,
     format_multipartition,
     generalized_hook,
@@ -155,6 +156,13 @@ def test_enumeration_count_matches_dp():
         for n in range(0, 9):
             got = sum(1 for _ in enumerate_multipartitions(l, n))
             assert got == _count_by_dp(l, n), (l, n)
+
+
+def test_count_multipartitions_matches_enumeration():
+    for l in range(1, 5):
+        for n in range(0, 11):
+            got = count_multipartitions(l, n)
+            assert got == sum(1 for _ in enumerate_multipartitions(l, n)), (l, n)
 
 
 def test_enumeration_has_no_duplicates():

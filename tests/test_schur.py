@@ -19,6 +19,7 @@ from cycloschur.schur import (
     LaurentPoly,
     RootOfUnity,
     class_multicharge,
+    column_tables,
     cyclotomic_poly,
     defect_general,
     defect_integer,
@@ -183,6 +184,22 @@ def test_column_count_matches_factor_and_hook_counts(e):
                 )
                 hooks = sum(m for v, m in charged_hooks_direct(mp, s).items if v % e == 0)
                 assert defect_integer(mp, s, e) == factors == hooks, (mp, s, e)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4, 5])
+def test_defect_from_column_tables(e):
+    # tables built once per (partition, charge) and padded to any width at
+    # least the widest component, as a scan passes them, give the same count
+    rng = random.Random(100 + e)
+    for l in (1, 2, 3):
+        for n in range(7):
+            for mp in enumerate_multipartitions(l, n):
+                s = tuple(rng.randint(-7, 9) for _ in range(l))
+                width = max((comp[0] for comp in mp if comp), default=0) + rng.randint(0, 2)
+                tables = [column_tables(comp, c, e, width) for comp, c in zip(mp, s)]
+                hooks = sum(m for v, m in charged_hooks_direct(mp, s).items if v % e == 0)
+                value = defect_integer(mp, s, e, tables=tables)
+                assert value == defect_integer(mp, s, e) == hooks, (mp, s, e, width)
 
 
 def test_defect_large_e_vanishes():
