@@ -32,7 +32,6 @@ from .groups import (
 )
 from .partitions import (
     Multipartition,
-    Node,
     Partition,
     enumerate_multipartitions,
     format_multicharge,

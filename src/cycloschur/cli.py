@@ -1,24 +1,25 @@
 """Command line interface and the exhaustive scan harness.
 
 Exit codes: 0 success (scan: no violation), 1 invariant violation,
-2 malformed input, bad parameters, a malformed environment or an I/O
-error, 3 bad specialisation, 4 internal error (any other exception,
-reported in one line on stderr).
+2 malformed input, bad parameters or an I/O error, 3 bad
+specialisation, 4 internal error (any other exception, reported in one
+line on stderr).
 
 The scan enumerates all multipartitions of a given level and rank,
-groups them by residue vector (the proxy block key) and checks that the
-weight computed from residues, the weight computed by the bead
+groups them by residue vector (the proxy block key) and computes four
+routes per member: the weight from residues, the weight from the bead
 reduction, the defect read off the Schur factors and the divisible-hook
-count all agree, member by member and across each block, and that all
-members of a block share one core and core multicharge, which no other
-block shares.  Each worker builds, once per scan, an entry for every
-(partition, charge) it meets (text, residue counts, beta-numbers, the
-column tables of ``schur.defect_integer`` and the class summary of
-``weights.bead_classes``) and a core for every class-totals vector,
-assembles each member from those tables and groups its members into
-blocks.  The partial blocks are merged in enumeration order, so the
-output is byte-identical for any worker count, which is taken by
-default from the environment variable CYCLOSCHUR_JOBS.
+count.  Each member leaves its signature, those four values with its
+core and core multicharge, in its block, and one rule decides every
+block: it is a violation if its members leave more than one signature,
+if the four routes of its signature differ, or if another block has the
+same core and core multicharge.  Each worker builds, once per scan, an
+entry for every (partition, charge) it meets (text, residue counts,
+beta-numbers, the column tables of ``schur.defect_integer`` and the
+class summary of ``weights.bead_classes``) and a core for every
+class-totals vector, assembles each member from those tables and groups
+its members into blocks.  The partial blocks are merged in enumeration
+order, so the output is byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -26,7 +27,6 @@ from __future__ import annotations
 import argparse
 import csv
 import json
-import os
 import sys
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
@@ -44,8 +44,6 @@ from .partitions import (
     parse_multipartition,
 )
 
-JOBS_ENV = "CYCLOSCHUR_JOBS"
-
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
@@ -55,9 +53,11 @@ EXIT_INTERNAL = 4
 
 @dataclass(frozen=True)
 class BlockReport:
-    """One proxy block: key, members in enumeration order, the common
-    weight/defect and core, and whether any member disagreed on any of
-    the four defect computations or on the core."""
+    """One proxy block: key, members in enumeration order, and the weight,
+    defect, core and core charges of its first member.  ``violation`` is
+    set when its members disagree on any of these or on the four defect
+    computations, or when another block of the scan has the same core
+    and core charges."""
 
     key: tuple[int, ...]
     members: tuple[str, ...]
@@ -170,7 +170,8 @@ def _scan_chunk(args) -> dict:
     # charge, cores one per class-totals vector (one per block)
     parts: dict = {}
     cores: dict = {}
-    # residue vector -> [members, weight, defect, core, core charges, violation]
+    # residue vector -> (members, signatures); the signatures dict keeps
+    # each distinct member signature once, in order of first appearance
     blocks: dict = {}
     for mp in islice(enumerate_multipartitions(l, n), start, stop):
         comps = []
@@ -188,29 +189,29 @@ def _scan_chunk(args) -> dict:
             packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
             core_mp, core_charges = weights.read_core(1 - m, packed, l)
             core = cores[totals] = (format_multipartition(core_mp), core_charges, terminal)
-        weight = weights.residue_weight(rv, charges)
-        moves = weights.reduction_moves(summaries, core[2], e)
-        defect = schur.defect_integer(mp, charges, e, tables=tables)
-        hooks = abacus.count_divisible_hooks(cfg, e)
-        agree = weight == moves == defect == hooks
-        block = blocks.setdefault(rv.counts, [[], weight, defect, core[0], core[1], False])
-        block[0].append("|".join(texts))
-        if not agree or weight != block[1] or core[0] != block[3] or core[1] != block[4]:
-            block[5] = True
+        core_text, core_charges, terminal = core
+        signature = (
+            weights.residue_weight(rv, charges),
+            weights.reduction_moves(summaries, terminal, e),
+            schur.defect_integer(mp, charges, e, tables=tables),
+            abacus.count_divisible_hooks(cfg, e),
+            core_text,
+            core_charges,
+        )
+        members, signatures = blocks.setdefault(rv.counts, ([], {}))
+        members.append("|".join(texts))
+        signatures[signature] = None
     return blocks
 
 
-def scan(
-    l: int,
-    n: int,
-    e: int,
-    charges,
-    window: int | None = None,
-    jobs: int = 1,
-) -> ScanReport:
+def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     """Group all level-l rank-n multipartitions by proxy block key and
-    compare the four defect computations; the multicharge is normalised
-    into the fundamental domain first."""
+    decide each block by the rule in the module docstring, reporting it
+    from its first signature.  The multicharge is normalised into the
+    fundamental domain first, and the abacus window is
+    n + max(normalised charges) + 1.  The members are cut into at most
+    ``jobs`` chunks; a single chunk runs in this process, more run in a
+    pool with one worker per chunk."""
     if l < 1:
         raise ValueError("level must be at least 1")
     if n < 0:
@@ -222,40 +223,43 @@ def scan(
     if jobs < 1:
         raise ValueError("jobs must be positive")
     norm, _ = abacus.normalize_multicharge(charges, e)
-    m = window if window is not None else n + max(norm, default=0) + 1
-    if m < 1:
-        raise ValueError("window must be positive")
+    m = n + max(norm) + 1
 
-    if jobs == 1:
-        partials = [_scan_chunk((l, n, e, norm, m, 0, None))]
+    total = count_multipartitions(l, n)
+    size = -(-total // jobs)
+    chunks = [
+        (l, n, e, norm, m, start, min(start + size, total))
+        for start in range(0, total, size)
+    ]
+    if len(chunks) == 1:
+        partials = [_scan_chunk(chunks[0])]
     else:
-        total = count_multipartitions(l, n)
-        size = -(-total // jobs)
-        chunks = [
-            (l, n, e, norm, m, start, min(start + size, total))
-            for start in range(0, total, size)
-        ]
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             partials = list(pool.map(_scan_chunk, chunks))
 
-    # chunk order is enumeration order, so blocks keep their first appearance
+    # chunk order is enumeration order, so blocks keep their first
+    # appearance and each block its first signature
     merged: dict = {}
     for part in partials:
-        for key, block in part.items():
-            first = merged.setdefault(key, block)
-            if first is not block:
-                first[0].extend(block[0])
-                first[5] = first[5] or block[5] or block[1:5] != first[1:5]
-    # core injectivity: no two blocks may share (core, core charges)
-    shared = Counter((block[3], block[4]) for block in merged.values())
-    blocks = tuple(
-        BlockReport(
-            key, tuple(members), weight, defect, core, core_charges,
-            violation or shared[core, core_charges] > 1,
+        for key, (members, signatures) in part.items():
+            all_members, all_signatures = merged.setdefault(key, (members, signatures))
+            if all_members is not members:
+                all_members.extend(members)
+                all_signatures.update(signatures)
+    firsts = {key: next(iter(signatures)) for key, (_, signatures) in merged.items()}
+    cores = Counter((core, core_charges) for *_, core, core_charges in firsts.values())
+    blocks = []
+    for key, (members, signatures) in merged.items():
+        weight, moves, defect, hooks, core, core_charges = firsts[key]
+        violation = (
+            len(signatures) > 1
+            or not weight == moves == defect == hooks
+            or cores[core, core_charges] > 1
         )
-        for key, (members, weight, defect, core, core_charges, violation) in merged.items()
-    )
-    return ScanReport(l, n, e, norm, m, blocks)
+        blocks.append(
+            BlockReport(key, tuple(members), weight, defect, core, core_charges, violation)
+        )
+    return ScanReport(l, n, e, norm, m, tuple(blocks))
 
 
 def _check_packages(level: int, p: int | None) -> None:
@@ -461,11 +465,9 @@ def _cmd_glpn(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    charges = (
-        parse_multicharge(args.charge) if args.charge is not None else (0,) * args.l
-    )
+    charges = _charges_for(args, args.l)
     _check_packages(args.l, args.p)
-    report = scan(args.l, args.n, args.e, charges, args.window, args.jobs)
+    report = scan(args.l, args.n, args.e, charges, args.jobs)
     # the files go first, so that a path that cannot be written leaves stdout empty
     if args.json is not None:
         with open(args.json, "w") as fh:
@@ -474,14 +476,6 @@ def _cmd_scan(args) -> int:
         write_scan_csv(report, args.csv, args.p)
     print(report.to_text())
     return EXIT_VIOLATION if report.violations else EXIT_OK
-
-
-def _env_jobs() -> int:
-    text = os.environ.get(JOBS_ENV, "1")
-    try:
-        return int(text)
-    except ValueError:
-        raise ValueError(f"${JOBS_ENV} must be an integer, got {text!r}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -586,13 +580,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     add_charge(p)
-    add_window(p)
-    p.add_argument(
-        "--jobs",
-        type=int,
-        default=_env_jobs(),
-        help=f"worker count (default from ${JOBS_ENV})",
-    )
+    p.add_argument("--jobs", type=int, default=1, help="at most this many worker processes")
     p.add_argument("--csv", help="write per-member rows to this path")
     p.add_argument("--json", help="write the report to this path")
     p.add_argument("--p", type=int, help="add orbit sizes for this package count")

@@ -20,15 +20,7 @@ from collections import Counter
 from functools import lru_cache
 from math import prod
 from itertools import product
-from typing import Iterable, Iterator, NamedTuple
-
-
-class Node(NamedTuple):
-    """One box of a multipartition: component, row, column."""
-
-    comp: int
-    row: int
-    col: int
+from typing import Iterable, Iterator
 
 
 class Partition(tuple):
@@ -89,11 +81,6 @@ class Multipartition(tuple):
     @property
     def rank(self) -> int:
         return sum(c.rank for c in self)
-
-    def nodes(self) -> Iterator[Node]:
-        for a, comp in enumerate(self):
-            for i, j in comp.nodes():
-                yield Node(a, i, j)
 
     def bar(self) -> Partition:
         """All parts of all components reordered into a single partition."""

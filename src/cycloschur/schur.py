@@ -350,23 +350,6 @@ class RootOfUnity:
     def element_order(self) -> int:
         return self.ambient // math.gcd(self.ambient, self.exponent)
 
-    @property
-    def is_one(self) -> bool:
-        return self.exponent == 0
-
-    def _check(self, other: "RootOfUnity") -> None:
-        if self.ambient != other.ambient:
-            raise ValueError("mismatched ambient orders")
-
-    def __mul__(self, other: "RootOfUnity") -> "RootOfUnity":
-        self._check(other)
-        return RootOfUnity(self.ambient, self.exponent + other.exponent)
-
-    def __pow__(self, k: int) -> "RootOfUnity":
-        return RootOfUnity(self.ambient, self.exponent * k)
-
-    def inverse(self) -> "RootOfUnity":
-        return RootOfUnity(self.ambient, -self.exponent)
 
 
 def _common_ambient(roots: Iterable[RootOfUnity], u: RootOfUnity) -> int:

@@ -9,6 +9,7 @@ from cycloschur import abacus, cli, weights
 from cycloschur.abacus import count_divisible_hooks, multi_beta
 from cycloschur.cli import BlockReport, ScanReport, main, scan, write_scan_csv
 from cycloschur.partitions import (
+    count_multipartitions,
     enumerate_multipartitions,
     format_multipartition,
     parse_multipartition,
@@ -196,6 +197,9 @@ def test_scan_rank_zero(capsys):
 def test_scan_bad_params_exit_2(capsys):
     code, _, err = run(capsys, "scan", "--l", "2", "--n", "2", "--e", "1", "--charge", "0,0")
     assert code == 2
+    code, out, err = run(capsys, "scan", "--l", "2", "--n", "2", "--e", "2", "--charge", "0")
+    assert (code, out) == (2, "")
+    assert "has length 1, expected 2" in err
 
 
 def test_scan_report_roundtrip(tmp_path):
@@ -258,19 +262,17 @@ def test_scan_detects_seeded_mutation(monkeypatch, capsys):
     assert "VIOLATION" in out
 
 
-def test_scan_env_sets_default_jobs(monkeypatch):
-    monkeypatch.setenv(cli.JOBS_ENV, "2")
-    parser = cli.build_parser()
-    args = parser.parse_args(["scan", "--l", "1", "--n", "1", "--e", "2"])
-    assert args.jobs == 2
+def test_scan_flags_uniform_route_disagreement(monkeypatch):
+    # every member is off by one in the same way, so each block keeps a
+    # single signature: only the four-route agreement check can see it
+    original = cli.schur.defect_integer
 
+    def broken(mp, charges, e, **kwargs):
+        return original(mp, charges, e, **kwargs) + 1
 
-def test_scan_bad_jobs_env_exits_2(monkeypatch, capsys):
-    monkeypatch.setenv(cli.JOBS_ENV, "abc")
-    code, out, err = run(capsys, "scan", "--l", "1", "--n", "2", "--e", "2")
-    assert code == 2
-    assert out == ""
-    assert err.count("\n") == 1 and cli.JOBS_ENV in err
+    monkeypatch.setattr(cli.schur, "defect_integer", broken)
+    report = scan(2, 4, 2, (0, 1))
+    assert report.blocks and all(b.violation for b in report.blocks)
 
 
 def test_scan_validates_p_before_output(tmp_path, capsys):
@@ -419,10 +421,13 @@ def test_scan_detects_shared_core(monkeypatch, capsys):
 
 class SerialPool:
     """An in-process stand-in for ProcessPoolExecutor, so that test doubles
-    reach every chunk of a scan with jobs > 1."""
+    reach every chunk of a scan with jobs > 1; it records the pool sizes
+    it was opened with."""
+
+    opened: list = []
 
     def __init__(self, max_workers):
-        pass
+        self.opened.append(max_workers)
 
     def __enter__(self):
         return self
@@ -459,6 +464,15 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
     for b in report.blocks:
         assert b.violation == (b.members[0] in first and b.members[-1] not in first), b
     assert report.violations > 0
+
+
+def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
+    monkeypatch.setattr(SerialPool, "opened", [])
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    assert scan(1, 1, 2, (0,), jobs=8) == scan(1, 1, 2, (0,))
+    assert SerialPool.opened == []
+    assert scan(2, 3, 2, (0, 1), jobs=64) == scan(2, 3, 2, (0, 1))
+    assert SerialPool.opened == [count_multipartitions(2, 3)]
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

@@ -22,6 +22,7 @@ GRIDS = [
     (2, 12, 2, "0,1", 2, 2),
     (4, 5, 3, "0,0,1,2", 1, 2),
     (3, 6, 2, "-3,5,2", 1, 3),
+    (1, 3, 2, "0", 8, 1),
 ]
 
 # text, JSON, CSV
@@ -95,6 +96,11 @@ GOLDEN = {
         "96e11706eaee096bd6a156d2f53ada0d9659f10a983c745f6dc5ed3b43b04320",
         "8aca0797dd21c8cb86dd4890287ab9aa608cc2863e163d2645e84de4c633e708",
         "e653f8c468c67f3c9d9a120eb841825ffbb1067dac54a43ce322a66bbcb6f262",
+    ),
+    (1, 3, 2, "0", 8, 1): (
+        "e703f9defd260ae340fa71789b395aefe0fcf1d2e3bbcf5ec3f51ff72b897879",
+        "a43f069cfcae439b82e1dc2e4fec936a7a1bdbb44591ea43196f7c329fe0fe1e",
+        "2ccce6cda2006653279c231b2b3827a9cca86537b6d8084462794cf931ffd588",
     ),
 }
 

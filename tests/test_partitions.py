@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from cycloschur.partitions import (
     Multipartition,
-    Node,
     Partition,
     count_multipartitions,
     enumerate_multipartitions,
@@ -121,12 +120,6 @@ def test_multipartition_nodes_and_rank():
     mp = Multipartition([(2,), (), (1, 1)])
     assert mp.level == 3
     assert mp.rank == 4
-    assert list(mp.nodes()) == [
-        Node(0, 1, 1),
-        Node(0, 1, 2),
-        Node(2, 1, 1),
-        Node(2, 2, 1),
-    ]
 
 
 def test_enumeration_small_cases():
