@@ -282,6 +282,14 @@ def in_fundamental_domain(charges: Sequence[int], e: int) -> bool:
     return s == sorted(s) and (not s or s[-1] <= s[0] + e)
 
 
+def check_domain(charges: Sequence[int], e: int) -> None:
+    """Raise unless e >= 2 and the charges lie in the fundamental domain."""
+    if e < 2:
+        raise ValueError("e must be at least 2")
+    if not in_fundamental_domain(charges, e):
+        raise ValueError("multicharge outside the fundamental domain")
+
+
 def count_zero_hooks(cfg: BetaConfig) -> int:
     """Number of charged hook lengths equal to 0 (multicharge sorted)."""
     _require_sorted(cfg.charges)
@@ -322,10 +330,7 @@ def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     residue class of y mod e and P vanishes below g.  The cost grows
     with the rank and the charges, not with the window.
     """
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    if not in_fundamental_domain(cfg.charges, e):
-        raise ValueError("multicharge outside the fundamental domain")
+    check_domain(cfg.charges, e)
     g, beads = active_beads(cfg)
     level = cfg.level
     top = max((r[0] for r in beads if r), default=g - 1)

@@ -1,25 +1,10 @@
-"""Command line interface and the exhaustive scan harness.
+"""Command line interface: argument parsing, file output and exit codes.
 
 Exit codes: 0 success (scan: no violation), 1 invariant violation,
 2 malformed input, bad parameters or an I/O error, 3 bad
 specialisation, 4 internal error (any other exception, reported in one
-line on stderr).
-
-The scan enumerates all multipartitions of a given level and rank,
-groups them by residue vector (the proxy block key) and computes four
-routes per member: the weight from residues, the weight from the bead
-reduction, the defect read off the Schur factors and the divisible-hook
-count.  Each member leaves its signature, those four values with its
-core and core multicharge, in its block, and one rule decides every
-block: it is a violation if its members leave more than one signature,
-if the four routes of its signature differ, or if another block has the
-same core and core multicharge.  Each worker builds, once per scan, an
-entry for every (partition, charge) it meets (text, residue counts,
-beta-numbers, the column tables of ``schur.defect_integer`` and the
-class summary of ``weights.bead_classes``) and a core for every
-class-totals vector, assembles each member from those tables and groups
-its members into blocks.  The partial blocks are merged in enumeration
-order, so the output is byte-identical for any worker count.
+line on stderr).  The scan itself and its report live in
+``cycloschur.scanning``.
 """
 
 from __future__ import annotations
@@ -28,238 +13,21 @@ import argparse
 import csv
 import json
 import sys
-from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from itertools import islice
 
 from . import abacus, groups, schur, weights
 from .partitions import (
-    count_multipartitions,
-    enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
-    format_partition,
     parse_multicharge,
     parse_multipartition,
 )
+from .scanning import ScanReport, scan
 
 EXIT_OK = 0
 EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BAD_SPECIALISATION = 3
 EXIT_INTERNAL = 4
-
-
-@dataclass(frozen=True)
-class BlockReport:
-    """One proxy block: key, members in enumeration order, and the weight,
-    defect, core and core charges of its first member.  ``violation`` is
-    set when its members disagree on any of these or on the four defect
-    computations, or when another block of the scan has the same core
-    and core charges."""
-
-    key: tuple[int, ...]
-    members: tuple[str, ...]
-    weight: int
-    defect: int
-    core: str
-    core_charges: tuple[int, ...]
-    violation: bool
-
-    def to_json(self) -> dict:
-        return {
-            "key": list(self.key),
-            "members": list(self.members),
-            "weight": self.weight,
-            "defect": self.defect,
-            "core": self.core,
-            "core_charges": list(self.core_charges),
-            "violation": self.violation,
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlockReport":
-        return cls(
-            key=tuple(obj["key"]),
-            members=tuple(obj["members"]),
-            weight=obj["weight"],
-            defect=obj["defect"],
-            core=obj["core"],
-            core_charges=tuple(obj["core_charges"]),
-            violation=obj["violation"],
-        )
-
-
-@dataclass(frozen=True)
-class ScanReport:
-    level: int
-    rank: int
-    e: int
-    charges: tuple[int, ...]
-    window: int
-    blocks: tuple[BlockReport, ...]
-
-    @property
-    def violations(self) -> int:
-        return sum(1 for b in self.blocks if b.violation)
-
-    def to_json(self) -> dict:
-        return {
-            "level": self.level,
-            "rank": self.rank,
-            "e": self.e,
-            "charges": list(self.charges),
-            "window": self.window,
-            "blocks": [b.to_json() for b in self.blocks],
-            "violations": self.violations,
-        }
-
-    def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScanReport":
-        return cls(
-            level=obj["level"],
-            rank=obj["rank"],
-            e=obj["e"],
-            charges=tuple(obj["charges"]),
-            window=obj["window"],
-            blocks=tuple(BlockReport.from_json(b) for b in obj["blocks"]),
-        )
-
-    @classmethod
-    def from_json_str(cls, text: str) -> "ScanReport":
-        return cls.from_json(json.loads(text))
-
-    def to_text(self) -> str:
-        lines = [
-            f"scan l={self.level} n={self.rank} e={self.e} "
-            f"charge={format_multicharge(self.charges)} window={self.window}"
-        ]
-        for idx, b in enumerate(self.blocks):
-            mark = "  VIOLATION" if b.violation else ""
-            lines.append(
-                f"block {idx}: key={format_multicharge(b.key)} "
-                f"size={len(b.members)} weight={b.weight} defect={b.defect} "
-                f"core={b.core} core_charges={format_multicharge(b.core_charges)}"
-                f"{mark}"
-            )
-            lines.append("  members: " + " ".join(b.members))
-        lines.append(f"blocks={len(self.blocks)} violations={self.violations}")
-        return "\n".join(lines)
-
-
-def _component(p, s: int, e: int, m: int, width: int) -> tuple:
-    # everything a member needs from one of its components under its charge
-    beta = abacus.beta_numbers(p, s, m)
-    return (
-        format_partition(p),
-        weights.residue_counts(p, s, e),
-        beta,
-        schur.column_tables(p, s, e, width),
-        weights.bead_classes(beta, e),
-    )
-
-
-def _scan_chunk(args) -> dict:
-    l, n, e, charges, m, start, stop = args
-    # per-chunk tables, so that each (partition, charge) and each core is
-    # built once: parts has one entry per partition of at most n and
-    # charge, cores one per class-totals vector (one per block)
-    parts: dict = {}
-    cores: dict = {}
-    # residue vector -> (members, signatures); the signatures dict keeps
-    # each distinct member signature once, in order of first appearance
-    blocks: dict = {}
-    for mp in islice(enumerate_multipartitions(l, n), start, stop):
-        comps = []
-        for key in zip(mp, charges):
-            entry = parts.get(key)
-            if entry is None:
-                entry = parts[key] = _component(*key, e, m, n)
-            comps.append(entry)
-        texts, counts, runners, tables, summaries = zip(*comps)
-        rv = weights.ResidueVector(e, tuple(map(sum, zip(*counts))))
-        cfg = abacus.BetaConfig(runners, charges, m)
-        totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
-        core = cores.get(totals)
-        if core is None:
-            packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
-            core_mp, core_charges = weights.read_core(1 - m, packed, l)
-            core = cores[totals] = (format_multipartition(core_mp), core_charges, terminal)
-        core_text, core_charges, terminal = core
-        signature = (
-            weights.residue_weight(rv, charges),
-            weights.reduction_moves(summaries, terminal, e),
-            schur.defect_integer(mp, charges, e, tables=tables),
-            abacus.count_divisible_hooks(cfg, e),
-            core_text,
-            core_charges,
-        )
-        members, signatures = blocks.setdefault(rv.counts, ([], {}))
-        members.append("|".join(texts))
-        signatures[signature] = None
-    return blocks
-
-
-def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
-    """Group all level-l rank-n multipartitions by proxy block key and
-    decide each block by the rule in the module docstring, reporting it
-    from its first signature.  The multicharge is normalised into the
-    fundamental domain first, and the abacus window is
-    n + max(normalised charges) + 1.  The members are cut into at most
-    ``jobs`` chunks; a single chunk runs in this process, more run in a
-    pool with one worker per chunk."""
-    if l < 1:
-        raise ValueError("level must be at least 1")
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    if len(charges) != l:
-        raise ValueError("multicharge length must equal the level")
-    if jobs < 1:
-        raise ValueError("jobs must be positive")
-    norm, _ = abacus.normalize_multicharge(charges, e)
-    m = n + max(norm) + 1
-
-    total = count_multipartitions(l, n)
-    size = -(-total // jobs)
-    chunks = [
-        (l, n, e, norm, m, start, min(start + size, total))
-        for start in range(0, total, size)
-    ]
-    if len(chunks) == 1:
-        partials = [_scan_chunk(chunks[0])]
-    else:
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
-            partials = list(pool.map(_scan_chunk, chunks))
-
-    # chunk order is enumeration order, so blocks keep their first
-    # appearance and each block its first signature
-    merged: dict = {}
-    for part in partials:
-        for key, (members, signatures) in part.items():
-            all_members, all_signatures = merged.setdefault(key, (members, signatures))
-            if all_members is not members:
-                all_members.extend(members)
-                all_signatures.update(signatures)
-    firsts = {key: next(iter(signatures)) for key, (_, signatures) in merged.items()}
-    cores = Counter((core, core_charges) for *_, core, core_charges in firsts.values())
-    blocks = []
-    for key, (members, signatures) in merged.items():
-        weight, moves, defect, hooks, core, core_charges = firsts[key]
-        violation = (
-            len(signatures) > 1
-            or not weight == moves == defect == hooks
-            or cores[core, core_charges] > 1
-        )
-        blocks.append(
-            BlockReport(key, tuple(members), weight, defect, core, core_charges, violation)
-        )
-    return ScanReport(l, n, e, norm, m, tuple(blocks))
 
 
 def _check_packages(level: int, p: int | None) -> None:
@@ -317,7 +85,7 @@ def _cmd_hooks(args) -> int:
         raise ValueError("--mod must be positive")
     mp = parse_multipartition(args.multipartition)
     charges = _charges_for(args, mp.level)
-    cfg = abacus.multi_beta(mp, charges, args.window)
+    cfg = abacus.multi_beta(mp, charges)
     hooks = abacus.charged_hooks_abacus(cfg, include_diagonal=args.diagonal)
     print(f"H = {hooks.formatted()}")
     print(f"size = {hooks.total}")
@@ -367,7 +135,7 @@ def _cmd_weight(args) -> int:
     charges = _charges_for(args, mp.level)
     fw = weights.fayers_weight(mp, charges, args.e)
     mp2, norm = weights.normalized_instance(mp, charges, args.e)
-    uw = weights.uglov_weight(mp2, norm, args.e, args.window)
+    uw = weights.uglov_weight(mp2, norm, args.e)
     if fw != uw:
         print(
             f"VIOLATION: residue weight {fw} != reduction weight {uw}",
@@ -382,7 +150,7 @@ def _cmd_core(args) -> int:
     mp = parse_multipartition(args.multipartition)
     charges = _charges_for(args, mp.level)
     mp2, norm = weights.normalized_instance(mp, charges, args.e)
-    result = weights.core(mp2, norm, args.e, args.window)
+    result = weights.core(mp2, norm, args.e)
     if args.json:
         print(json.dumps(result.to_json()))
     else:
@@ -492,13 +260,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_charge(p):
         p.add_argument("--charge", help="comma-separated multicharge, e.g. '0,2'")
 
-    def add_window(p):
-        p.add_argument("--window", type=int, help="abacus window size m")
-
     p = sub.add_parser("hooks", help="charged-hook multiset")
     add_mp(p)
     add_charge(p)
-    add_window(p)
     p.add_argument("--mod", type=int, help="also count hooks divisible by this")
     p.add_argument(
         "--diagonal",
@@ -527,14 +291,12 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("weight", help="weight of a charged multipartition")
     add_mp(p)
     add_charge(p)
-    add_window(p)
     p.add_argument("--e", type=int, required=True)
     p.set_defaults(func=_cmd_weight)
 
     p = sub.add_parser("core", help="core of a charged multipartition")
     add_mp(p)
     add_charge(p)
-    add_window(p)
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_core)
@@ -547,7 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("abacus", help="render the abacus")
     add_mp(p)
     add_charge(p)
-    add_window(p)
+    p.add_argument("--window", type=int, help="abacus window size m")
     p.set_defaults(func=_cmd_abacus)
 
     p = sub.add_parser("dm-classes", help="parameter classes")

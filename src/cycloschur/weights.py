@@ -53,13 +53,7 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
-from .abacus import (
-    BetaConfig,
-    active_beads,
-    in_fundamental_domain,
-    multi_beta,
-    normalize_multicharge,
-)
+from .abacus import active_beads, check_domain, multi_beta, normalize_multicharge
 from .partitions import (
     Multipartition,
     Partition,
@@ -171,13 +165,6 @@ def _reduce_runners(
         return moves
 
 
-def _check_domain(charges: Sequence[int], e: int) -> None:
-    if e < 2:
-        raise ValueError("e must be at least 2")
-    if not in_fundamental_domain(charges, e):
-        raise ValueError("multicharge outside the fundamental domain")
-
-
 def uglov_weight(
     mp: Multipartition,
     charges: Sequence[int],
@@ -187,7 +174,7 @@ def uglov_weight(
 ) -> int:
     """The weight as the number of bead moves of the reduction, counted
     move by move; an rng randomises the order of the moves."""
-    _check_domain(charges, e)
+    check_domain(charges, e)
     cfg = multi_beta(mp, charges, m)
     return _reduce_runners([set(r) for r in cfg.runners], cfg.m, e, rng)
 
@@ -268,23 +255,12 @@ def read_core(
 
 
 def core(
-    mp: Multipartition,
-    charges: Sequence[int],
-    e: int,
-    m: int | None = None,
-    *,
-    beta: BetaConfig | None = None,
+    mp: Multipartition, charges: Sequence[int], e: int, m: int | None = None
 ) -> CoreResult:
-    """Reduce to the terminal abacus and read it back as a multipartition.
-
-    ``beta`` takes the beta-numbers of mp under these charges when the
-    caller has built them already; otherwise they are built at window m.
-    """
-    _check_domain(charges, e)
-    if beta is None:
-        beta = multi_beta(mp, charges, m)
-    elif beta.charges != tuple(charges) or m not in (None, beta.m):
-        raise ValueError("beta-numbers built for other charges or another window")
+    """Reduce to the terminal abacus at window m and read it back as a
+    multipartition."""
+    check_domain(charges, e)
+    beta = multi_beta(mp, charges, m)
     g, beads = active_beads(beta)
     summaries = [bead_classes(runner, e) for runner in beads]
     totals = tuple(map(sum, zip(*(counts for counts, _, _ in summaries))))

@@ -10,7 +10,7 @@ from itertools import combinations_with_replacement, product
 import pytest
 
 import cycloschur as cs
-from cycloschur.cli import scan
+from cycloschur.scanning import scan
 
 
 def report(criterion, text):

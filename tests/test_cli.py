@@ -5,15 +5,16 @@ from itertools import combinations_with_replacement, islice
 
 import pytest
 
-from cycloschur import abacus, cli, weights
+from cycloschur import abacus, scanning, weights
 from cycloschur.abacus import count_divisible_hooks, multi_beta
-from cycloschur.cli import BlockReport, ScanReport, main, scan, write_scan_csv
+from cycloschur.cli import main, write_scan_csv
 from cycloschur.partitions import (
     count_multipartitions,
     enumerate_multipartitions,
     format_multipartition,
     parse_multipartition,
 )
+from cycloschur.scanning import BlockReport, ScanReport, scan
 from cycloschur.schur import defect_integer
 from cycloschur.weights import core, residue_vector, residue_weight
 
@@ -256,7 +257,7 @@ def test_scan_detects_seeded_mutation(monkeypatch, capsys):
         value = original(mp, charges, e, **kwargs)
         return value + (1 if mp.rank == 3 and mp[0].rank == 3 else 0)
 
-    monkeypatch.setattr(cli.schur, "defect_integer", broken)
+    monkeypatch.setattr(scanning.schur, "defect_integer", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
     assert code == 1
     assert "VIOLATION" in out
@@ -265,12 +266,12 @@ def test_scan_detects_seeded_mutation(monkeypatch, capsys):
 def test_scan_flags_uniform_route_disagreement(monkeypatch):
     # every member is off by one in the same way, so each block keeps a
     # single signature: only the four-route agreement check can see it
-    original = cli.schur.defect_integer
+    original = scanning.schur.defect_integer
 
     def broken(mp, charges, e, **kwargs):
         return original(mp, charges, e, **kwargs) + 1
 
-    monkeypatch.setattr(cli.schur, "defect_integer", broken)
+    monkeypatch.setattr(scanning.schur, "defect_integer", broken)
     report = scan(2, 4, 2, (0, 1))
     assert report.blocks and all(b.violation for b in report.blocks)
 
@@ -309,7 +310,7 @@ def test_scan_keeps_no_per_member_cache():
 
     report = scan(2, 8, 2, (0, 1))
     members = sum(len(b.members) for b in report.blocks)
-    for name in ("abacus", "cli", "groups", "partitions", "schur", "weights"):
+    for name in ("abacus", "cli", "groups", "partitions", "scanning", "schur", "weights"):
         module = getattr(cycloschur, name)
         for value in vars(module).values():
             info = getattr(value, "cache_info", None)
@@ -390,7 +391,7 @@ def test_scan_detects_core_mutation(monkeypatch, capsys):
             return (c0 - 1, c1 + 1), total + change // 2, size
         return original(runner, e)
 
-    monkeypatch.setattr(cli.weights, "bead_classes", broken)
+    monkeypatch.setattr(scanning.weights, "bead_classes", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
     assert code == 1
     assert out.count("VIOLATION") == 1
@@ -412,7 +413,7 @@ def test_scan_detects_shared_core(monkeypatch, capsys):
             return copied
         return core_mp, charges
 
-    monkeypatch.setattr(cli.weights, "read_core", broken)
+    monkeypatch.setattr(scanning.weights, "read_core", broken)
     code, out, _ = run(capsys, "scan", "--l", "3", "--n", "4", "--e", "3", "--charge", "0,1,2")
     assert code == 1
     flagged = [line for line in out.splitlines() if line.endswith("VIOLATION")]
@@ -453,8 +454,8 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
         seen.add((g, tuple(packed)))
         return core_mp, charges
 
-    monkeypatch.setattr(cli.weights, "read_core", broken)
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.weights, "read_core", broken)
+    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
     assert scan(2, 6, 2, (0, 1), jobs=1).violations == 0
     seen.clear()
     report = scan(2, 6, 2, (0, 1), jobs=2)
@@ -468,7 +469,7 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
 
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
     monkeypatch.setattr(SerialPool, "opened", [])
-    monkeypatch.setattr(cli, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
     assert scan(1, 1, 2, (0,), jobs=8) == scan(1, 1, 2, (0,))
     assert SerialPool.opened == []
     assert scan(2, 3, 2, (0, 1), jobs=64) == scan(2, 3, 2, (0, 1))
@@ -479,7 +480,7 @@ def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(totals, base, level, e):
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
 
-    monkeypatch.setattr(cli.weights, "terminal_state", broken)
+    monkeypatch.setattr(scanning.weights, "terminal_state", broken)
     code, out, err = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ArithmeticError") and err.count("\n") == 1
