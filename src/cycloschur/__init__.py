@@ -21,7 +21,6 @@ from .abacus import (
     zero_membership,
 )
 from .groups import (
-    SigmaOrbit,
     glpn_defect,
     orbit,
     packages,

@@ -127,12 +127,10 @@ class ChargedHooks:
     (value, multiplicity) pairs."""
 
     items: tuple[tuple[int, int], ...]
-    diagonal_included: bool
 
     @classmethod
-    def from_counter(cls, counts: Counter, diagonal_included: bool) -> "ChargedHooks":
-        items = tuple(sorted((v, mult) for v, mult in counts.items() if mult))
-        return cls(items, diagonal_included)
+    def from_counter(cls, counts: Counter) -> "ChargedHooks":
+        return cls(tuple(sorted((v, mult) for v, mult in counts.items() if mult)))
 
     @property
     def total(self) -> int:
@@ -216,7 +214,7 @@ def charged_hooks_abacus(
     )
     if n != rank:
         raise ArithmeticError(f"bead deltas sum to {n}, not to the rank {rank}")
-    return ChargedHooks.from_counter(counts, include_diagonal)
+    return ChargedHooks.from_counter(counts)
 
 
 def charged_hooks_direct(
@@ -233,7 +231,7 @@ def charged_hooks_direct(
                 if not include_diagonal and b == a:
                     continue
                 counts[generalized_hook(comp, mp[b], i, j) + charges[a] - charges[b]] += 1
-    return ChargedHooks.from_counter(counts, include_diagonal)
+    return ChargedHooks.from_counter(counts)
 
 
 def zero_membership(cfg: BetaConfig, c1: int, c2: int, x: int) -> bool:

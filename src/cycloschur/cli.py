@@ -46,18 +46,11 @@ def write_scan_csv(report: ScanReport, path: str, p: int | None = None) -> None:
         writer = csv.writer(fh)
         writer.writerow(header)
         for idx, b in enumerate(report.blocks):
+            key = format_multicharge(b.key)
             for member in b.members:
-                row = [
-                    idx,
-                    format_multicharge(b.key),
-                    member,
-                    b.weight,
-                    b.defect,
-                    b.core,
-                ]
+                row = [idx, key, member, b.weight, b.defect, b.core]
                 if p is not None:
-                    comps = tuple(member.split("|"))
-                    row.append(groups.orbit(comps, report.level // p, p).size)
+                    row.append(groups.orbit(member.split("|"), report.level // p, p))
                 writer.writerow(row)
 
 
@@ -72,12 +65,20 @@ def _charges_for(args, level: int) -> tuple[int, ...]:
     return charges
 
 
-def _parse_roots(text: str) -> schur.RootOfUnity:
+def _spec_for(args, level: int, period: int) -> schur.CycloSpec:
+    """The CycloSpec of --roots N,t, --qexp and the `period` charges of
+    --rcharges repeated up to the level."""
+    if args.roots is None or args.rcharges is None:
+        raise ValueError("--roots and --rcharges go together")
     try:
-        ambient, exponent = (int(tok) for tok in text.split(","))
+        ambient, exponent = (int(tok) for tok in args.roots.split(","))
     except ValueError as exc:
-        raise ValueError(f"bad --roots {text!r}: expected N,t") from exc
-    return schur.RootOfUnity(ambient, exponent)
+        raise ValueError(f"bad --roots {args.roots!r}: expected N,t") from exc
+    rcharges = parse_multicharge(args.rcharges)
+    if len(rcharges) != period:
+        raise ValueError(f"--rcharges expects {period} charges, got {len(rcharges)}")
+    tiled = tuple(rcharges[k % period] for k in range(level))
+    return schur.CycloSpec(level, tiled, args.qexp, schur.RootOfUnity(ambient, exponent))
 
 
 def _cmd_hooks(args) -> int:
@@ -97,20 +98,14 @@ def _cmd_hooks(args) -> int:
 
 def _cmd_defect(args) -> int:
     mp = parse_multipartition(args.multipartition)
-    if args.general:
-        if args.roots is None or args.rcharges is None:
-            raise ValueError("--general requires --roots and --rcharges")
-        eta = _parse_roots(args.roots)
-        rcharges = parse_multicharge(args.rcharges)
-        spec = schur.CycloSpec(mp.level, rcharges, args.qexp, eta)
-        value = schur.defect_general(mp, spec)
-        if args.json:
-            print(json.dumps({"defect": value}))
-        else:
-            print(value)
+    if args.roots is not None or args.rcharges is not None:
+        if args.e is not None or args.charge is not None or args.via_polynomial:
+            raise ValueError("--roots excludes --e, --charge and --via-polynomial")
+        value = schur.defect_general(mp, _spec_for(args, mp.level, mp.level))
+        print(json.dumps({"defect": value}) if args.json else value)
         return EXIT_OK
     if args.e is None:
-        raise ValueError("--e is required without --general")
+        raise ValueError("--e is required without --roots and --rcharges")
     charges = _charges_for(args, mp.level)
     if args.via_polynomial:
         value = schur.nu_phi(schur.specialize_integer(mp, charges), args.e)
@@ -218,16 +213,11 @@ def _cmd_glpn(args) -> int:
     mp = parse_multipartition(args.multipartition)
     if args.p * args.d != mp.level:
         raise ValueError("level must equal p*d")
-    eta = _parse_roots(args.roots)
-    rcharges = parse_multicharge(args.rcharges)
-    if len(rcharges) != args.d:
-        raise ValueError("--rcharges expects one charge per package component")
-    tiled = tuple(rcharges[k % args.d] for k in range(mp.level))
-    spec = schur.CycloSpec(mp.level, tiled, args.qexp, eta)
-    orb = groups.orbit(mp, args.d, args.p)
+    spec = _spec_for(args, mp.level, args.d)
+    size = groups.orbit(mp, args.d, args.p)
     value = groups.glpn_defect(mp, args.d, args.p, spec)
-    print(f"orbit size = {orb.size}")
-    print(f"stabilizer = {orb.stabilizer}")
+    print(f"orbit size = {size}")
+    print(f"stabilizer = {args.p // size}")
     print(f"defect = {value}")
     return EXIT_OK
 
@@ -276,9 +266,8 @@ def build_parser() -> argparse.ArgumentParser:
     add_mp(p)
     add_charge(p)
     p.add_argument("--e", type=int, help="order of the root of unity")
-    p.add_argument("--general", action="store_true", help="root-of-unity parameters")
-    p.add_argument("--roots", help="N,t for the evaluation root (with --general)")
-    p.add_argument("--rcharges", help="y-exponents per component (with --general)")
+    p.add_argument("--roots", help="N,t: root-of-unity parameters evaluated at zeta_N^t")
+    p.add_argument("--rcharges", help="y-exponents per component (with --roots)")
     p.add_argument("--qexp", type=int, default=1, help="y-exponent of q")
     p.add_argument(
         "--via-polynomial",

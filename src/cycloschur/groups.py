@@ -16,7 +16,6 @@ elements, so its defect is the sum of the package defects
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Sequence
 
 from .partitions import Multipartition
@@ -33,28 +32,19 @@ def sigma(mp: Multipartition, d: int) -> Multipartition:
     return Multipartition(mp[-d:] + mp[:-d])
 
 
-@dataclass(frozen=True)
-class SigmaOrbit:
-    """A shift orbit: its representative, its size (a divisor of p) and
-    the order p / size of the stabilizer."""
-
-    representative: Sequence
-    size: int
-    stabilizer: int
-
-
-def orbit(mp: Sequence, d: int, p: int) -> SigmaOrbit:
-    """The orbit of mp under the shift by d-packages, for level p*d.
+def orbit(mp: Sequence, d: int, p: int) -> int:
+    """The size of the orbit of mp under the shift by d-packages, for
+    level p*d: the least number of package rotations that fixes mp, a
+    divisor of p whose cofactor p // size is the order of the stabilizer.
 
     mp may be any sequence of components that compare equal exactly when
-    the partitions do, such as their texts; the size is the least number
-    of package rotations that fixes the component tuple."""
+    the partitions do, such as a list of their texts."""
     if p < 1 or len(mp) != p * d:
         raise ValueError("level must equal p*d")
     size = next(k for k in range(1, p + 1) if mp[k * d :] + mp[: k * d] == mp)
     if p % size:
         raise ArithmeticError(f"orbit size {size} does not divide {p}")
-    return SigmaOrbit(mp, size, p // size)
+    return size
 
 
 def _is_periodic(seq: Sequence, d: int) -> bool:

@@ -51,7 +51,7 @@ class Partition(tuple):
         """The transposed diagram: conjugate()[k-1] = #{i : p_i >= k}."""
         if not self:
             return self
-        return Partition(sum(1 for p in self if p >= k) for k in range(1, self[0] + 1))
+        return Partition(column_lengths(self, self[0]))
 
     def nodes(self) -> Iterator[tuple[int, int]]:
         """All boxes (row, col), row by row."""
@@ -88,6 +88,16 @@ class Multipartition(tuple):
 
     def __repr__(self) -> str:
         return f"Multipartition({', '.join(repr(tuple(c)) for c in self)})"
+
+
+def column_lengths(p, width: int) -> list[int]:
+    """The column lengths p'_1, ..., p'_width of the partition p, padded
+    with zeros; width must be at least p_1.  Row i sets its p_i columns to
+    i, so the cost is linear in |p| + width."""
+    cols = [0] * width
+    for i, part in enumerate(p, start=1):
+        cols[:part] = [i] * part
+    return cols
 
 
 def generalized_hook(lam: Partition, mu: Partition, i: int, j: int) -> int:

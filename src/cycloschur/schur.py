@@ -18,10 +18,12 @@ equality test is exact integer arithmetic.  A ``CycloSpec`` records a
 one-variable specialisation: component a carries the twist
 omega^(twist_a) (omega the fixed root of order `level`) times
 y^(charges_a), q goes to y^(q_exp), and y is finally evaluated at a
-root eta.  ``defect_general`` computes the multiplicity of the minimal
-polynomial of eta in the specialised Schur element by testing each
-factor for vanishing at eta; a factor with zero y-exponent and trivial
-twist vanishes identically, which is reported as a bad specialisation.
+root eta.  ``CycloSpec.parameter`` and ``CycloSpec.u`` are the only code
+that evaluates these parameters.  ``defect_general`` computes the
+multiplicity of the minimal polynomial of eta in the specialised Schur
+element by testing each factor for vanishing at eta; a factor with zero
+y-exponent and trivial twist vanishes identically, which is reported as
+a bad specialisation.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ from itertools import repeat
 from operator import add, getitem, index, mul, sub
 from typing import Iterable, Sequence
 
-from .partitions import Multipartition, n_invariant
+from .partitions import Multipartition, column_lengths, n_invariant
 
 
 class BadSpecialisationError(ValueError):
@@ -236,13 +238,7 @@ def schur_factors(mp: Multipartition) -> GenericSchurFactors:
     n, level = mp.rank, mp.level
     sign = -1 if (n * (level - 1)) % 2 else 1
     width = max((comp[0] for comp in mp if comp), default=0)
-    cols = []
-    for comp in mp:
-        col = [0] * width
-        for row in comp:
-            for j in range(row):
-                col[j] += 1
-        cols.append(col)
+    cols = [column_lengths(comp, width) for comp in mp]
     qints: list[int] = []
     pairs: list[tuple[int, int, int]] = []
     for a, comp in enumerate(mp):
@@ -284,7 +280,7 @@ def column_tables(p, s: int, e: int, width: int) -> tuple[list, list[int]]:
     charge s (e >= 2), its column lengths padded to ``width``, at least the
     widest component: the prefix counts R[lam'_j] for j = 1..lam_1, and the
     shifts (j - 1 - lam'_j + s) mod e for j = 1..width."""
-    cols = [sum(1 for part in p if part > j) for j in range(width)]
+    cols = column_lengths(p, width)
     prefix = [(0,) * e]
     counts = [0] * e
     for i, part in enumerate(p, start=1):
@@ -472,36 +468,26 @@ class CycloSpec:
 
 def defect_general(mp: Multipartition, spec: CycloSpec) -> int:
     """Multiplicity of the minimal polynomial of eta in the specialised
-    Schur element, factor by factor.
+    Schur element, factor by factor, with u = ``spec.u()`` and
+    xi_a = ``spec.parameter(a)``.
 
-    A q-integer factor [h]_q contributes 1 when y^(q_exp * h) - 1
-    vanishes at eta but y^(q_exp) - 1 does not.  A pair factor (h, a, b)
-    with y-exponent M = q_exp*h + r_a - r_b contributes 1 when M != 0
-    and omega^(w_a - w_b) * eta^M = 1; with M = 0 it is the constant
-    omega^(w_a - w_b) - 1, which contributes 0 when nonzero and makes
-    the whole specialisation vanish otherwise.
+    A q-integer factor [h]_q contributes 1 when u != 1 and u^h = 1.  A
+    pair factor (h, a, b) contributes 1 when u^h xi_a = xi_b.  If its
+    y-exponent q_exp*h + r_a - r_b is 0 as well, the factor is 0 before
+    y is evaluated, and the whole specialisation vanishes.
     """
     if mp.level != spec.level:
         raise ValueError("multipartition level must match the specialisation")
-    ambient = spec.eta.ambient
-    t = spec.eta.exponent
-    step = ambient // spec.level
+    u = spec.u()
+    xi = [spec.parameter(a).exponent for a in range(spec.level)]
     f = schur_factors(mp)
-    total = 0
-    u_is_one = (spec.q_exp * t) % ambient == 0
-    if not u_is_one:
-        for h in f.q_integers:
-            if (spec.q_exp * h * t) % ambient == 0:
-                total += 1
+    e = u.element_order
+    total = sum(1 for h in f.q_integers if h % e == 0) if e > 1 else 0
     for h, a, b in f.pair_factors:
-        m_exp = spec.q_exp * h + spec.charges[a] - spec.charges[b]
-        twist = ((spec.twist[a] - spec.twist[b]) * step) % ambient
-        if m_exp == 0:
-            if twist == 0:
+        if (u.exponent * h + xi[a] - xi[b]) % u.ambient == 0:
+            if spec.q_exp * h + spec.charges[a] - spec.charges[b] == 0:
                 raise BadSpecialisationError(
                     f"the pair factor of components {a} and {b} vanishes identically"
                 )
-            continue
-        if (twist + m_exp * t) % ambient == 0:
             total += 1
     return total

@@ -1,7 +1,8 @@
 import csv
+import hashlib
 import json
 import random
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement, islice, product
 
 import pytest
 
@@ -74,16 +75,33 @@ def test_defect_json(capsys):
 def test_defect_general(capsys):
     code, out, _ = run(
         capsys,
-        "defect", "2|0|0", "--general", "--roots", "12,4", "--rcharges", "0,0,1",
+        "defect", "2|0|0", "--roots", "12,4", "--rcharges", "0,0,1",
     )
     assert code == 0
     assert out.strip() == "2"
     code, out, _ = run(
         capsys,
-        "defect", "2|0|0", "--general", "--roots", "12,8", "--rcharges", "0,0,1",
+        "defect", "2|0|0", "--roots", "12,8", "--rcharges", "0,0,1",
     )
     assert code == 0
     assert out.strip() == "0"
+    code, out, _ = run(
+        capsys,
+        "defect", "2|0|0", "--roots", "12,4", "--rcharges", "0,0,1", "--qexp", "2",
+    )
+    assert code == 0
+    assert out.strip() == "1"
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--rcharges", "0,0,1", "--e", "3"], [], ["--rcharges", "0,0,1", "--charge", "0,0,1"]],
+    ids=["with-e", "without-rcharges", "with-charge"],
+)
+def test_defect_roots_misuse_exits_2_before_output(capsys, extra):
+    code, out, _ = run(capsys, "defect", "2|0|0", "--roots", "12,4", *extra)
+    assert code == 2
+    assert out == ""
 
 
 def test_defect_via_polynomial(capsys):
@@ -180,6 +198,44 @@ def test_glpn_command(capsys):
     assert "orbit size = 1" in out
     assert "stabilizer = 2" in out
     assert "defect =" in out
+
+
+def general_parameter_sweep():
+    """argv of ``defect --roots`` and ``glpn`` runs over small levels and
+    ranks, four roots (one whose order the level 3 does not divide), two
+    charge vectors per shape and the q-exponents 1, 2 and -1."""
+    roots = ("12,4", "12,3", "6,1", "4,2")
+    qexps = ("1", "2", "-1")
+
+    def charge_texts(k):
+        return ",".join("0" * k), ",".join(map(str, (1, -1, 2)[:k]))
+
+    shapes = [("defect", None, None, l, n) for l, n in ((1, 2), (2, 2), (3, 1))]
+    shapes += [
+        ("glpn", d, p, d * p, n) for d, p, n in ((1, 2, 2), (2, 1, 1), (1, 3, 1), (2, 2, 1))
+    ]
+    for cmd, d, p, level, n in shapes:
+        packages = [] if d is None else ["--d", str(d), "--p", str(p)]
+        for rank in range(n + 1):
+            for mp in enumerate_multipartitions(level, rank):
+                for r, rc, q in product(roots, charge_texts(d or level), qexps):
+                    yield [
+                        cmd, format_multipartition(mp), *packages,
+                        "--roots", r, f"--rcharges={rc}", "--qexp", q,
+                    ]
+
+
+# sha256 over the sweep of each run's exit code and stdout, recorded from a
+# tree whose defect command took the general route only under --general
+GENERAL_PARAMETER_DIGEST = "4445d845e1ef53b7618b0d55b67b006716fc002aa5922f4b5f630fc92e230fd2"
+
+
+def test_general_parameter_commands_match_digest(capsys):
+    digest = hashlib.sha256()
+    for argv in general_parameter_sweep():
+        code, out, _ = run(capsys, *argv)
+        digest.update(f"{code}\n{out}".encode())
+    assert digest.hexdigest() == GENERAL_PARAMETER_DIGEST
 
 
 def test_scan_exit_zero_and_text(capsys):
