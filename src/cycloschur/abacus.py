@@ -18,16 +18,24 @@ for ``charged_hooks_abacus``.
 building the multiset, the charged hooks equal to 0 and divisible by e.
 They require the multicharge to be sorted; ``count_divisible_hooks``
 further requires it to lie in the fundamental domain
-s_0 <= ... <= s_{l-1} <= s_0 + e.  It visits only the beads at or above
-the lowest gap of all runners (``active_beads``) and sums the counting
-terms of ``n_k`` with one prefix sum per residue class mod e, so its
-cost does not grow with the window.
+s_0 <= ... <= s_{l-1} <= s_0 + e.  It sums the counting terms of
+``n_k`` from one table per runner (``hook_table``): with gap_t(y) = 1
+when runner t misses y and P_t(x) the number of gaps y <= x - e of t
+with y = x mod e, the count is the sum over runners c and t and beads
+x of c of [c < t] gap_t(x) + P_t(x) (``sum_hook_tables``).  A table
+holds the runner's lowest gap k, its beads above k, P and Q = P + gap
+and their prefix sums, so the full region of a runner below its own k
+costs one lookup per runner.  ``count_divisible_hooks`` builds the
+tables from the lowest gap of all runners (``active_beads``), so its
+cost does not grow with the window; the scan builds one table per
+(partition, charge) from the window floor, once per scan.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import gt
 from typing import Sequence
 
@@ -317,34 +325,58 @@ def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return g, tuple(r[: s + 1 - g] for r, s in zip(cfg.runners, cfg.charges))
 
 
+def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
+    """The divisible-hook table of a runner whose beads at or above base
+    are `beads` and which is full below base, over the positions base to
+    top: (k, above, (P, P sums), (Q, Q sums)).
+
+    k is the index of the runner's lowest gap and `above` the indices of
+    its beads above it, counted from base.  P[i] is the number of gaps
+    at base + i - e, base + i - 2e, ..., Q[i] = P[i] + 1 at a gap and
+    P[i] elsewhere, and a sums list holds the sums of its first 0, 1,
+    ..., top - base + 1 entries.  Every runner whose beads are summed
+    against the table must lie at or below top and be full below base.
+    """
+    size = top - base + 1
+    if beads and not base <= min(beads) <= max(beads) <= top:
+        raise ValueError(f"beads must lie in [{base}, {top}]")
+    q = [1] * size
+    for x in beads:
+        q[x - base] = 0
+    k = q.index(1) if 1 in q else size
+    p = [0] * size
+    for i in range(e, size):
+        p[i] = q[i - e]
+        q[i] += p[i]
+    above = tuple(x - base for x in beads if x - base > k)
+    return k, above, (p, list(accumulate(p, initial=0))), (q, list(accumulate(q, initial=0)))
+
+
+def sum_hook_tables(tables: Sequence[tuple]) -> int:
+    """The number of charged hooks divisible by e of the runners with these
+    ``hook_table`` tables, in component order, built over one range."""
+    total = 0
+    for c, (k, above, _, _) in enumerate(tables):
+        for t, (_, _, p, q) in enumerate(tables):
+            values, sums = q if c < t else p
+            total += sums[k] + sum(map(values.__getitem__, above))
+    return total
+
+
 def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     """Number of charged hook lengths divisible by e, diagonal included.
 
     The count is the sum of the terms ``n_k`` over all beads x and all
-    k >= 0.  Below the lowest gap g of all runners every term vanishes,
-    so only the beads from g upward are visited.  With free(y) the
-    number of runners missing y, the k >= 1 terms of a bead x add up to
-    P(x - e), where P(y) = free(y) + P(y - e) is a prefix sum along the
-    residue class of y mod e and P vanishes below g.  The cost grows
-    with the rank and the charges, not with the window.
+    k >= 0, summed by ``sum_hook_tables`` from one ``hook_table`` per
+    runner.  Below the lowest gap g of all runners every runner is full
+    and every term vanishes, so the tables span g to the highest bead,
+    and the cost grows with the rank and the charges, not with the
+    window.
     """
     check_domain(cfg.charges, e)
     g, beads = active_beads(cfg)
-    level = cfg.level
     top = max((r[0] for r in beads if r), default=g - 1)
-    prefix = [level] * (top - g + 1)
-    for runner in beads:
-        for x in runner:
-            prefix[x - g] -= 1
-    for i in range(e, len(prefix)):
-        prefix[i] += prefix[i - e]
-    sets = [set(r) for r in beads]
-    total = sum(len(sets[c] - sets[t]) for c in range(level) for t in range(c + 1, level))
-    for runner in beads:
-        for x in runner:
-            if x - g >= e:
-                total += prefix[x - g - e]
-    return total
+    return sum_hook_tables([hook_table(r, g, top, e) for r in beads])
 
 
 def normalize_multicharge(

@@ -12,6 +12,7 @@ from __future__ import annotations
 import argparse
 import csv
 import json
+import re
 import sys
 
 from . import abacus, groups, schur, weights
@@ -78,7 +79,8 @@ def _spec_for(args, level: int, period: int) -> schur.CycloSpec:
     if len(rcharges) != period:
         raise ValueError(f"--rcharges expects {period} charges, got {len(rcharges)}")
     tiled = tuple(rcharges[k % period] for k in range(level))
-    return schur.CycloSpec(level, tiled, args.qexp, schur.RootOfUnity(ambient, exponent))
+    q_exp = 1 if args.qexp is None else args.qexp
+    return schur.CycloSpec(level, tiled, q_exp, schur.RootOfUnity(ambient, exponent))
 
 
 def _cmd_hooks(args) -> int:
@@ -106,6 +108,9 @@ def _cmd_defect(args) -> int:
         return EXIT_OK
     if args.e is None:
         raise ValueError("--e is required without --roots and --rcharges")
+    if args.qexp is not None:
+        # the integer route evaluates q at y itself
+        raise ValueError("--qexp needs --roots and --rcharges")
     charges = _charges_for(args, mp.level)
     if args.via_polynomial:
         value = schur.nu_phi(schur.specialize_integer(mp, charges), args.e)
@@ -268,7 +273,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--e", type=int, help="order of the root of unity")
     p.add_argument("--roots", help="N,t: root-of-unity parameters evaluated at zeta_N^t")
     p.add_argument("--rcharges", help="y-exponents per component (with --roots)")
-    p.add_argument("--qexp", type=int, default=1, help="y-exponent of q")
+    p.add_argument("--qexp", type=int, help="y-exponent of q (with --roots; default 1)")
     p.add_argument(
         "--via-polynomial",
         action="store_true",
@@ -340,9 +345,29 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+# options whose value is a comma-separated list that may start with a minus sign
+_LIST_OPTIONS = ("--charge", "--rcharges", "--params")
+
+
+def _join_list_values(argv: list[str]) -> list[str]:
+    """Write `--charge -1,1` as `--charge=-1,1`, so that argparse does not
+    read a value with a leading minus sign as an option."""
+    out: list[str] = []
+    for token in argv:
+        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\d", token):
+            out[-1] = f"{out[-1]}={token}"
+        else:
+            out.append(token)
+    return out
+
+
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
+        args = build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
+    except SystemExit as exc:
+        # argparse has printed its usage error (2) or its help (0)
+        return exc.code
+    try:
         return args.func(args)
     except schur.BadSpecialisationError as exc:
         print(f"bad specialisation: {exc}", file=sys.stderr)

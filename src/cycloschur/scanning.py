@@ -9,12 +9,15 @@ core and core multicharge, in its block, and one rule decides every
 block: it is a violation if its members leave more than one signature,
 if the four routes of its signature differ, or if another block has the
 same core and core multicharge.  Each worker builds, once per scan, an
-entry for every (partition, charge) it meets (text, residue counts,
-beta-numbers, the column tables of ``schur.defect_integer`` and the
-class summary of ``weights.bead_classes``) and a core for every
+entry for every (partition, charge) it meets (text, residue counts, the
+divisible-hook table of ``abacus.hook_table``, the column tables of
+``schur.defect_integer`` and the class summary of
+``weights.bead_classes``; no beta-numbers are kept) and a core for every
 class-totals vector, assembles each member from those tables and groups
-its members into blocks.  The partial blocks are merged in enumeration
-order, so the output is byte-identical for any worker count.
+its members into blocks.  The residue weight depends only on the block
+key, so it is computed once when a worker first meets a key.  The
+partial blocks are merged in enumeration order, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -128,7 +131,7 @@ def _component(p, s: int, e: int, m: int, width: int) -> tuple:
     return (
         format_partition(p),
         weights.residue_counts(p, s, e),
-        beta,
+        abacus.hook_table(beta, 1 - m, m - 1, e),
         schur.column_tables(p, s, e, width),
         weights.bead_classes(beta, e),
     )
@@ -141,19 +144,24 @@ def _scan_chunk(args) -> dict:
     # charge, cores one per class-totals vector (one per block)
     parts: dict = {}
     cores: dict = {}
-    # residue vector -> (members, signatures); the signatures dict keeps
-    # each distinct member signature once, in order of first appearance
+    # residue vector -> (members, signatures, residue weight); the
+    # signatures dict keeps each distinct member signature once, in order
+    # of first appearance
     blocks: dict = {}
     for mp in islice(enumerate_multipartitions(l, n), start, stop):
         comps = []
-        for key in zip(mp, charges):
-            entry = parts.get(key)
+        for pair in zip(mp, charges):
+            entry = parts.get(pair)
             if entry is None:
-                entry = parts[key] = _component(*key, e, m, n)
+                entry = parts[pair] = _component(*pair, e, m, n)
             comps.append(entry)
-        texts, counts, runners, tables, summaries = zip(*comps)
-        rv = weights.ResidueVector(e, tuple(map(sum, zip(*counts))))
-        cfg = abacus.BetaConfig(runners, charges, m)
+        texts, counts, hooks, tables, summaries = zip(*comps)
+        key = tuple(map(sum, zip(*counts)))
+        block = blocks.get(key)
+        if block is None:
+            rv = weights.ResidueVector(e, key)
+            block = blocks[key] = ([], {}, weights.residue_weight(rv, charges))
+        members, signatures, weight = block
         totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
         core = cores.get(totals)
         if core is None:
@@ -162,14 +170,13 @@ def _scan_chunk(args) -> dict:
             core = cores[totals] = (format_multipartition(core_mp), core_charges, terminal)
         core_text, core_charges, terminal = core
         signature = (
-            weights.residue_weight(rv, charges),
+            weight,
             weights.reduction_moves(summaries, terminal, e),
             schur.defect_integer(mp, charges, e, tables=tables),
-            abacus.count_divisible_hooks(cfg, e),
+            abacus.sum_hook_tables(hooks),
             core_text,
             core_charges,
         )
-        members, signatures = blocks.setdefault(rv.counts, ([], {}))
         members.append("|".join(texts))
         signatures[signature] = None
     return blocks
@@ -212,7 +219,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # appearance and each block its first signature
     merged: dict = {}
     for part in partials:
-        for key, (members, signatures) in part.items():
+        for key, (members, signatures, _) in part.items():
             all_members, all_signatures = merged.setdefault(key, (members, signatures))
             if all_members is not members:
                 all_members.extend(members)

@@ -104,6 +104,38 @@ def test_defect_roots_misuse_exits_2_before_output(capsys, extra):
     assert out == ""
 
 
+def test_defect_qexp_without_roots_exits_2_before_output(capsys):
+    # the integer route evaluates q at y, so a q-exponent there is a usage error
+    code, out, err = run(capsys, "defect", "1|0", "--e", "2", "--charge", "0,1", "--qexp", "2")
+    assert (code, out) == (2, "")
+    assert "--qexp" in err
+
+
+@pytest.mark.parametrize(
+    "flag, argv",
+    [
+        ("--charge", ["defect", "1|0", "--e", "2", "--charge", "-1,1"]),
+        ("--rcharges", ["defect", "2|0|0", "--roots", "12,4", "--rcharges", "-1,1,0"]),
+        ("--rcharges", ["glpn", "1|1", "--d", "1", "--p", "2", "--roots", "4,1", "--rcharges", "-1"]),
+        ("--params", ["dm-classes", "--roots", "6", "--params", "-1,2", "--u", "2", "--n", "3"]),
+    ],
+    ids=["charge", "rcharges", "glpn-rcharges", "params"],
+)
+def test_negative_list_values_parse_like_equals_form(capsys, flag, argv):
+    i = argv.index(flag)
+    expected = run(capsys, *argv[:i], f"{flag}={argv[i + 1]}", *argv[i + 2:])
+    assert expected[0] == 0
+    assert run(capsys, *argv) == expected
+
+
+def test_main_returns_argparse_exit_codes(capsys):
+    code, out, _ = run(capsys, "--help")
+    assert code == 0 and "usage:" in out
+    code, out, err = run(capsys, "defect")
+    assert (code, out) == (2, "")
+    assert "required" in err
+
+
 def test_defect_via_polynomial(capsys):
     # cyclotomic valuation of the expanded Schur element; 8 even charged
     # hooks survive the charge shift to (0,9)
@@ -413,18 +445,47 @@ def test_scan_matches_member_by_member_reference(l, e):
                 assert scan(l, n, e, charges, jobs=jobs) == expected, (l, n, e, charges, jobs)
 
 
-def test_scan_computes_active_beads_once_per_member(monkeypatch):
+def test_scan_builds_one_hook_table_per_component(monkeypatch):
     calls = []
-    real = abacus.active_beads
+    real = abacus.hook_table
 
-    def counting(cfg):
-        calls.append(cfg)
-        return real(cfg)
+    def counting(beads, base, top, e):
+        calls.append(beads)
+        return real(beads, base, top, e)
 
-    monkeypatch.setattr(abacus, "active_beads", counting)
+    monkeypatch.setattr(abacus, "hook_table", counting)
     report = scan(2, 5, 2, (0, 1))
     assert report.violations == 0
-    assert len(calls) == sum(len(b.members) for b in report.blocks)
+    pairs = {pair for mp in enumerate_multipartitions(2, 5) for pair in zip(mp, (0, 1))}
+    assert len(calls) == len(pairs)
+
+
+def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):
+    # the divisible-hook count is one too high for every member whose first
+    # component is 2.1 at charge 0, that is for 2.1|0 alone: its block
+    # gets a second signature and a route that disagrees
+    real = abacus.sum_hook_tables
+    marked = abacus.hook_table(multi_beta(parse_multipartition("2.1|0"), (0, 1), 5).runners[0], -4, 4, 2)
+
+    def broken(tables):
+        return real(tables) + (tables[0] == marked)
+
+    monkeypatch.setattr(abacus, "sum_hook_tables", broken)
+    code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
+    assert code == 1
+    flagged = [line for line in out.splitlines() if line.endswith("VIOLATION")]
+    assert len(flagged) == 1
+    index = out.splitlines().index(flagged[0])
+    assert "2.1|0" in out.splitlines()[index + 1].split()
+
+
+def test_scan_flags_uniform_hook_disagreement(monkeypatch):
+    # every member is off by one in the same way, so each block keeps a
+    # single signature: only the four-route agreement check can see it
+    real = abacus.sum_hook_tables
+    monkeypatch.setattr(abacus, "sum_hook_tables", lambda tables: real(tables) + 1)
+    report = scan(2, 4, 2, (0, 1))
+    assert report.blocks and all(b.violation for b in report.blocks)
 
 
 def test_scan_detects_core_mutation(monkeypatch, capsys):
