@@ -61,7 +61,6 @@ from .schur import (
 )
 from .weights import (
     CoreResult,
-    ResidueVector,
     bgo_check,
     core,
     ecore_abacus,

@@ -391,7 +391,7 @@ def normalize_multicharge(
     if e < 2:
         raise ValueError("e must be at least 2")
     reduced = [s % e for s in charges]
-    order = sorted(range(len(reduced)), key=lambda i: (reduced[i], i))
+    order = sorted(range(len(reduced)), key=reduced.__getitem__)
     perm = [0] * len(reduced)
     for new, old in enumerate(order):
         perm[old] = new

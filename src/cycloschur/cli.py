@@ -199,18 +199,11 @@ def _cmd_yokonuma(args) -> int:
     value = groups.yokonuma_defect(mp, args.d, args.l, charges, args.e)
     key = groups.yokonuma_block_key(mp, args.d, args.l, charges, args.e)
     if args.json:
-        print(
-            json.dumps(
-                {
-                    "defect": value,
-                    "key": [list(rv.counts) for rv in key],
-                }
-            )
-        )
+        print(json.dumps({"defect": value, "key": key}))
     else:
         print(f"defect = {value}")
-        for idx, rv in enumerate(key):
-            print(f"package {idx}: residues {format_multicharge(rv.counts)}")
+        for idx, counts in enumerate(key):
+            print(f"package {idx}: residues {format_multicharge(counts)}")
     return EXIT_OK
 
 
@@ -336,7 +329,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--n", type=int, required=True)
     p.add_argument("--e", type=int, required=True)
     add_charge(p)
-    p.add_argument("--jobs", type=int, default=1, help="at most this many worker processes")
+    p.add_argument(
+        "--jobs",
+        type=int,
+        default=1,
+        help="at most this many worker processes, and at most the CPU count",
+    )
     p.add_argument("--csv", help="write per-member rows to this path")
     p.add_argument("--json", help="write the report to this path")
     p.add_argument("--p", type=int, help="add orbit sizes for this package count")
@@ -345,16 +343,13 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-# options whose value is a comma-separated list that may start with a minus sign
-_LIST_OPTIONS = ("--charge", "--rcharges", "--params")
-
-
 def _join_list_values(argv: list[str]) -> list[str]:
-    """Write `--charge -1,1` as `--charge=-1,1`, so that argparse does not
-    read a value with a leading minus sign as an option."""
+    """Write `--charge -1,1` as `--charge=-1,1`, for any `--option` written
+    without `=` and abbreviations such as `--char` too, so that argparse
+    does not read a value with a leading minus sign as an option."""
     out: list[str] = []
     for token in argv:
-        if out and out[-1] in _LIST_OPTIONS and re.match(r"-\d", token):
+        if out and re.fullmatch(r"--[^=]+", out[-1]) and re.match(r"-\d", token):
             out[-1] = f"{out[-1]}={token}"
         else:
             out.append(token)

@@ -20,7 +20,7 @@ from typing import Sequence
 
 from .partitions import Multipartition
 from .schur import CycloSpec, defect_general, defect_integer, specialize_integer
-from .weights import ResidueVector, residue_vector
+from .weights import residue_vector
 
 
 def sigma(mp: Multipartition, d: int) -> Multipartition:
@@ -102,7 +102,7 @@ def yokonuma_defect(
 
 def yokonuma_block_key(
     mp: Multipartition, d: int, l: int, charges: Sequence[int], e: int
-) -> tuple[ResidueVector, ...]:
+) -> tuple[tuple[int, ...], ...]:
     """Per-package residue vectors; equal keys define the proxy block.
     Equal keys force equal package ranks, since a residue vector sums to
     the rank it was computed from."""

@@ -5,24 +5,28 @@ groups them by residue vector (the proxy block key) and computes four
 routes per member: the weight from residues, the weight from the bead
 reduction, the defect read off the Schur factors and the divisible-hook
 count.  Each member leaves its signature, those four values with its
-core and core multicharge, in its block, and one rule decides every
-block: it is a violation if its members leave more than one signature,
-if the four routes of its signature differ, or if another block has the
-same core and core multicharge.  Each worker builds, once per scan, an
-entry for every (partition, charge) it meets (text, residue counts, the
-divisible-hook table of ``abacus.hook_table``, the column tables of
+block's core and core multicharge and its own bead class totals, in its
+block, and one rule decides every block: it is a violation if its
+members leave more than one signature, if the four routes of its
+signature differ, or if another block has the same core and core
+multicharge.  Each worker builds, once per scan, an entry for every
+(partition, charge) it meets (text, residue counts, the divisible-hook
+table of ``abacus.hook_table``, the column tables of
 ``schur.defect_integer`` and the class summary of
-``weights.bead_classes``; no beta-numbers are kept) and a core for every
-class-totals vector, assembles each member from those tables and groups
-its members into blocks.  The residue weight depends only on the block
-key, so it is computed once when a worker first meets a key.  The
-partial blocks are merged in enumeration order, so the output is
-byte-identical for any worker count.
+``weights.bead_classes``; no beta-numbers are kept), assembles each
+member from those tables and groups its members into blocks.  The
+residue weight, the core, its charges and the terminal potential of the
+reduction depend only on the block key, so a worker computes them once,
+from the class totals of the first member of a block that it meets; a
+member whose totals differ leaves a second signature.  The partial
+blocks are merged in enumeration order, so the output is byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
@@ -139,14 +143,12 @@ def _component(p, s: int, e: int, m: int, width: int) -> tuple:
 
 def _scan_chunk(args) -> dict:
     l, n, e, charges, m, start, stop = args
-    # per-chunk tables, so that each (partition, charge) and each core is
-    # built once: parts has one entry per partition of at most n and
-    # charge, cores one per class-totals vector (one per block)
+    # per-chunk tables, one entry per distinct (partition, charge) pair or
+    # block key: parts holds each pair's component entry, blocks maps a
+    # residue vector to (members, signatures, residue weight, core text,
+    # core charges, terminal potential); the signatures dict keeps each
+    # distinct member signature once, in order of first appearance
     parts: dict = {}
-    cores: dict = {}
-    # residue vector -> (members, signatures, residue weight); the
-    # signatures dict keeps each distinct member signature once, in order
-    # of first appearance
     blocks: dict = {}
     for mp in islice(enumerate_multipartitions(l, n), start, stop):
         comps = []
@@ -157,19 +159,22 @@ def _scan_chunk(args) -> dict:
             comps.append(entry)
         texts, counts, hooks, tables, summaries = zip(*comps)
         key = tuple(map(sum, zip(*counts)))
+        totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
         block = blocks.get(key)
         if block is None:
-            rv = weights.ResidueVector(e, key)
-            block = blocks[key] = ([], {}, weights.residue_weight(rv, charges))
-        members, signatures, weight = block
-        totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
-        core = cores.get(totals)
-        if core is None:
             packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
             core_mp, core_charges = weights.read_core(1 - m, packed, l)
-            core = cores[totals] = (format_multipartition(core_mp), core_charges, terminal)
-        core_text, core_charges, terminal = core
+            block = blocks[key] = (
+                [],
+                {},
+                weights.residue_weight(key, charges),
+                format_multipartition(core_mp),
+                core_charges,
+                terminal,
+            )
+        members, signatures, weight, core_text, core_charges, terminal = block
         signature = (
+            totals,
             weight,
             weights.reduction_moves(summaries, terminal, e),
             schur.defect_integer(mp, charges, e, tables=tables),
@@ -188,8 +193,8 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     from its first signature.  The multicharge is normalised into the
     fundamental domain first, and the abacus window is
     n + max(normalised charges) + 1.  The members are cut into at most
-    ``jobs`` chunks; a single chunk runs in this process, more run in a
-    pool with one worker per chunk."""
+    ``jobs`` chunks, and at most ``os.cpu_count()``; a single chunk runs
+    in this process, more run in a pool with one worker per chunk."""
     if l < 1:
         raise ValueError("level must be at least 1")
     if n < 0:
@@ -204,7 +209,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     m = n + max(norm) + 1
 
     total = count_multipartitions(l, n)
-    size = -(-total // jobs)
+    size = -(-total // min(jobs, os.cpu_count() or 1))
     chunks = [
         (l, n, e, norm, m, start, min(start + size, total))
         for start in range(0, total, size)
@@ -219,7 +224,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # appearance and each block its first signature
     merged: dict = {}
     for part in partials:
-        for key, (members, signatures, _) in part.items():
+        for key, (members, signatures, *_) in part.items():
             all_members, all_signatures = merged.setdefault(key, (members, signatures))
             if all_members is not members:
                 all_members.extend(members)
@@ -228,7 +233,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     cores = Counter((core, core_charges) for *_, core, core_charges in firsts.values())
     blocks = []
     for key, (members, signatures) in merged.items():
-        weight, moves, defect, hooks, core, core_charges = firsts[key]
+        _, weight, moves, defect, hooks, core, core_charges = firsts[key]
         violation = (
             len(signatures) > 1
             or not weight == moves == defect == hooks

@@ -30,8 +30,8 @@ over the runners.  One routine, ``terminal_state``, packs them from a
 base below which every runner is full, and ``read_core`` reads the core
 off the packed counts.  ``core`` packs from the lowest gap of all
 runners (``abacus.active_beads``), so its cost does not grow with the
-window; the scan packs from the window floor 1 - m, once per distinct
-totals vector, from summaries built once per (partition, charge).
+window; the scan packs from the window floor 1 - m, once per block key,
+from the class totals of the first member of the block that it meets.
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -63,26 +63,6 @@ from .partitions import (
 )
 
 
-@dataclass(frozen=True)
-class ResidueVector:
-    """Counts of box residues mod e; the proxy block key."""
-
-    modulus: int
-    counts: tuple[int, ...]
-
-    def __post_init__(self):
-        if self.modulus < 2:
-            raise ValueError("modulus must be at least 2")
-        if len(self.counts) != self.modulus:
-            raise ValueError("one count per residue class required")
-        if any(c < 0 for c in self.counts):
-            raise ValueError("counts must be nonnegative")
-
-    @property
-    def rank(self) -> int:
-        return sum(self.counts)
-
-
 def residue_counts(p: Partition, s: int, e: int) -> tuple[int, ...]:
     """Count the boxes of one component in each residue class
     (col - row + s) mod e."""
@@ -97,19 +77,24 @@ def residue_counts(p: Partition, s: int, e: int) -> tuple[int, ...]:
 
 def residue_vector(
     mp: Multipartition, charges: Sequence[int], e: int
-) -> ResidueVector:
+) -> tuple[int, ...]:
     """Count the boxes of each residue class (col - row + s_a) mod e: the
-    sum of the ``residue_counts`` of the components."""
+    sum of the ``residue_counts`` of the components, one count per class;
+    the proxy block key."""
     if len(charges) != mp.level:
         raise ValueError("multicharge length must equal the level")
     per_comp = [residue_counts(comp, s, e) for comp, s in zip(mp, charges)]
-    return ResidueVector(e, tuple(map(sum, zip(*per_comp))))
+    return tuple(map(sum, zip(*per_comp)))
 
 
-def residue_weight(rv: ResidueVector, charges: Sequence[int]) -> int:
-    """The weight from a residue vector:
-    sum_i c_{s_i} - (1/2) sum_{i mod e} (c_i - c_{i-1})^2."""
-    c, e = rv.counts, rv.modulus
+def residue_weight(counts: Sequence[int], charges: Sequence[int]) -> int:
+    """The weight from the residue vector c = counts, one count per class
+    mod e: sum_i c_{s_i} - (1/2) sum_{i mod e} (c_i - c_{i-1})^2."""
+    c, e = counts, len(counts)
+    if e < 2:
+        raise ValueError("a residue vector needs at least two counts")
+    if any(count < 0 for count in c):
+        raise ValueError("counts must be nonnegative")
     total = sum(c[s % e] for s in charges)
     square = sum((c[i] - c[i - 1]) ** 2 for i in range(e))
     if square % 2:

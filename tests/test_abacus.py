@@ -80,6 +80,13 @@ def test_partition_from_beta_examples():
         partition_from_beta((3, 0, -1), 3)
 
 
+def test_partition_from_beta_rejects_a_repeated_bead():
+    # with the check weakened to `<`, Partition still rejects the tuple,
+    # but as not weakly decreasing: the message tells the checks apart
+    with pytest.raises(ValueError, match="strictly decreasing"):
+        partition_from_beta((3, 3, 0, -1, -2), 3)
+
+
 @given(
     st.lists(st.integers(1, 7), max_size=5).map(
         lambda xs: Partition(sorted(xs, reverse=True))

@@ -118,8 +118,10 @@ def test_defect_qexp_without_roots_exits_2_before_output(capsys):
         ("--rcharges", ["defect", "2|0|0", "--roots", "12,4", "--rcharges", "-1,1,0"]),
         ("--rcharges", ["glpn", "1|1", "--d", "1", "--p", "2", "--roots", "4,1", "--rcharges", "-1"]),
         ("--params", ["dm-classes", "--roots", "6", "--params", "-1,2", "--u", "2", "--n", "3"]),
+        ("--char", ["defect", "1|0", "--e", "2", "--char", "-1,1"]),
+        ("--rch", ["defect", "2|0|0", "--roots", "12,4", "--rch", "-1,1,0"]),
     ],
-    ids=["charge", "rcharges", "glpn-rcharges", "params"],
+    ids=["charge", "rcharges", "glpn-rcharges", "params", "char", "rch"],
 )
 def test_negative_list_values_parse_like_equals_form(capsys, flag, argv):
     i = argv.index(flag)
@@ -422,7 +424,7 @@ def reference_scan(l, n, e, charges):
         }
         assert len(values) == 1, (mp, charges, e, values)
         row = (format_multipartition(mp), values.pop(), format_multipartition(cr.core), cr.charges)
-        grouped.setdefault(rv.counts, []).append(row)
+        grouped.setdefault(rv, []).append(row)
     blocks = []
     for key, rows in grouped.items():
         _, value, core_text, core_charges = rows[0]
@@ -537,6 +539,30 @@ def test_scan_detects_shared_core(monkeypatch, capsys):
     assert [line.split(":")[0] for line in flagged] == [f"block {i}", f"block {j}"]
 
 
+def test_scan_counts_each_violating_block_once(monkeypatch, capsys, tmp_path):
+    # block 1 reads back the core of block 0, so exactly those two blocks
+    # are flagged, and the text and the JSON count each of them once
+    first, second = scan(3, 4, 3, (0, 1, 2)).blocks[:2]
+    copied = (parse_multipartition(first.core), first.core_charges)
+    original = weights.read_core
+
+    def broken(g, packed, level):
+        core_mp, charges = original(g, packed, level)
+        if (format_multipartition(core_mp), charges) == (second.core, second.core_charges):
+            return copied
+        return core_mp, charges
+
+    monkeypatch.setattr(scanning.weights, "read_core", broken)
+    path = tmp_path / "r.json"
+    code, out, _ = run(
+        capsys, "scan", "--l", "3", "--n", "4", "--e", "3", "--charge", "0,1,2", "--json", str(path)
+    )
+    assert code == 1
+    assert out.count("VIOLATION") == 2
+    assert out.endswith(" violations=2\n")
+    assert json.loads(path.read_text())["violations"] == 2
+
+
 class SerialPool:
     """An in-process stand-in for ProcessPoolExecutor, so that test doubles
     reach every chunk of a scan with jobs > 1; it records the pool sizes
@@ -585,12 +611,53 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
 
 
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
-    monkeypatch.setattr(SerialPool, "opened", [])
+    # at most one worker per chunk and at most os.cpu_count() chunks; the
+    # pool is the in-process double, so no process is started
     monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
-    assert scan(1, 1, 2, (0,), jobs=8) == scan(1, 1, 2, (0,))
-    assert SerialPool.opened == []
-    assert scan(2, 3, 2, (0, 1), jobs=64) == scan(2, 3, 2, (0, 1))
-    assert SerialPool.opened == [count_multipartitions(2, 3)]
+    cases = [
+        (64, 1, 1, 8, []),  # one member, one chunk: no pool
+        (64, 2, 3, 64, [count_multipartitions(2, 3)]),  # one worker per member
+        (4, 2, 3, 64, [4]),
+        (3, 2, 6, 20000, [3]),
+        (None, 2, 3, 64, []),  # an unknown CPU count counts as one
+    ]
+    for cpus, level, rank, jobs, opened in cases:
+        charges = tuple(range(level))
+        expected = scan(level, rank, 2, charges)
+        monkeypatch.setattr(SerialPool, "opened", [])
+        monkeypatch.setattr(scanning.os, "cpu_count", lambda: cpus)
+        assert scan(level, rank, 2, charges, jobs=jobs) == expected
+        assert SerialPool.opened == opened, cpus
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_reads_each_core_once_per_block_key_per_chunk(monkeypatch, jobs):
+    calls = []
+
+    def counting(name):
+        real = getattr(weights, name)
+
+        def wrapper(*args):
+            calls.append(name)
+            return real(*args)
+
+        return wrapper
+
+    for name in ("terminal_state", "read_core"):
+        monkeypatch.setattr(weights, name, counting(name))
+    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
+    report = scan(2, 6, 2, (0, 1), jobs=jobs)
+    assert report.violations == 0
+    members = list(enumerate_multipartitions(2, 6))
+    size = -(-len(members) // jobs)
+    keys = sum(
+        len({residue_vector(mp, (0, 1), 2) for mp in members[start : start + size]})
+        for start in range(0, len(members), size)
+    )
+    # with two chunks some block is met by both, so it is read back twice
+    assert (keys > len(report.blocks)) == (jobs > 1)
+    assert sorted(calls) == ["read_core"] * keys + ["terminal_state"] * keys
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):

@@ -13,7 +13,6 @@ from cycloschur.partitions import (
     partitions_of,
 )
 from cycloschur.weights import (
-    ResidueVector,
     bgo_check,
     core,
     ecore_abacus,
@@ -21,6 +20,7 @@ from cycloschur.weights import (
     fayers_weight,
     normalized_instance,
     residue_vector,
+    residue_weight,
     uglov_weight,
 )
 
@@ -37,11 +37,11 @@ def _residues_by_node_sweep(mp, charges, e):
 
 
 def test_residue_vector_examples():
-    assert residue_vector(Multipartition([(1,), ()]), (0, 0), 2).counts == (1, 0)
-    assert residue_vector(Multipartition([(), ()]), (0, 0), 2).counts == (0, 0)
+    assert residue_vector(Multipartition([(1,), ()]), (0, 0), 2) == (1, 0)
+    assert residue_vector(Multipartition([(), ()]), (0, 0), 2) == (0, 0)
     rv = residue_vector(RANK8_PAIR, (0, 2), 3)
-    assert rv.counts == _residues_by_node_sweep(RANK8_PAIR, (0, 2), 3) == (3, 3, 2)
-    assert rv.rank == RANK8_PAIR.rank
+    assert rv == _residues_by_node_sweep(RANK8_PAIR, (0, 2), 3) == (3, 3, 2)
+    assert sum(rv) == RANK8_PAIR.rank
 
 
 def test_residue_vector_matches_node_sweep():
@@ -50,7 +50,7 @@ def test_residue_vector_matches_node_sweep():
             for mp in enumerate_multipartitions(l, n):
                 for e in (2, 3):
                     for s in combinations_with_replacement(range(e), l):
-                        assert residue_vector(mp, s, e).counts == (
+                        assert residue_vector(mp, s, e) == (
                             _residues_by_node_sweep(mp, s, e)
                         )
 
@@ -60,8 +60,10 @@ def test_residue_vector_validation():
         residue_vector(RANK8_PAIR, (0, 2), 1)
     with pytest.raises(ValueError):
         residue_vector(RANK8_PAIR, (0,), 2)
-    with pytest.raises(ValueError):
-        ResidueVector(3, (1, 2))
+    with pytest.raises(ValueError, match="at least two counts"):
+        residue_weight((1,), (0,))
+    with pytest.raises(ValueError, match="nonnegative"):
+        residue_weight((1, -1, 0), (0,))
 
 
 def test_fayers_weight_examples():
@@ -222,7 +224,7 @@ def test_proxy_blocks_have_constant_weight_and_defect():
                     by_key = {}
                     for mp in enumerate_multipartitions(l, n):
                         key = residue_vector(mp, s, e)
-                        by_key.setdefault(key.counts, set()).add(
+                        by_key.setdefault(key, set()).add(
                             (fayers_weight(mp, s, e), defect_integer(mp, s, e))
                         )
                     assert all(len(v) == 1 for v in by_key.values())
@@ -234,7 +236,7 @@ def test_defect_zero_singletons_at_level_one():
             by_key = {}
             for p in partitions_of(n):
                 mp = Multipartition([p])
-                by_key.setdefault(residue_vector(mp, (0,), e).counts, []).append(mp)
+                by_key.setdefault(residue_vector(mp, (0,), e), []).append(mp)
             for members in by_key.values():
                 if any(fayers_weight(mp, (0,), e) == 0 for mp in members):
                     assert len(members) == 1
