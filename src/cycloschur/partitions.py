@@ -139,13 +139,14 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     return tuple(out)
 
 
-def _compositions(n: int, l: int) -> Iterator[tuple[int, ...]]:
-    # weak compositions of n into l parts, descending lexicographic
+def rank_vectors(n: int, l: int) -> Iterator[tuple[int, ...]]:
+    """The component ranks of the l-multipartitions of rank n: the weak
+    compositions of n into l parts, in descending lexicographic order."""
     if l == 1:
         yield (n,)
         return
     for first in range(n, -1, -1):
-        for rest in _compositions(n - first, l - 1):
+        for rest in rank_vectors(n - first, l - 1):
             yield (first, *rest)
 
 
@@ -161,14 +162,14 @@ def enumerate_multipartitions(l: int, n: int) -> Iterator[Multipartition]:
         raise ValueError("level must be at least 1")
     if n < 0:
         raise ValueError("rank must be nonnegative")
-    for ranks in _compositions(n, l):
+    for ranks in rank_vectors(n, l):
         for combo in product(*(partitions_of(k) for k in ranks)):
             yield Multipartition(combo)
 
 
 def count_multipartitions(l: int, n: int) -> int:
     """The number of l-multipartitions of rank n, from the partition numbers."""
-    return sum(prod(len(partitions_of(k)) for k in ranks) for ranks in _compositions(n, l))
+    return sum(prod(len(partitions_of(k)) for k in ranks) for ranks in rank_vectors(n, l))
 
 
 def format_partition(p: Partition) -> str:

@@ -12,15 +12,24 @@ signature differ, or if another block has the same core and core
 multicharge.  Each worker builds, once per scan, an entry for every
 (partition, charge) it meets (text, residue counts, the divisible-hook
 table of ``abacus.hook_table``, the column tables of
-``schur.defect_integer`` and the class summary of
-``weights.bead_classes``; no beta-numbers are kept), assembles each
-member from those tables and groups its members into blocks.  The
-residue weight, the core, its charges and the terminal potential of the
+``schur.defect_integer``, the class summary of ``weights.bead_classes``
+and the component's own pair term of both routes; no beta-numbers are
+kept).  It walks each rank vector of ``rank_vectors`` as nested loops,
+the leftmost component slowest as in ``enumerate_multipartitions``, and
+each level carries the prefix sums of the components before it: text,
+residue vector, class totals, start potential, defect and hook count.
+A member adds only its last component: the cached pair terms and, per
+route, two cross terms with each earlier component.  The residue
+weight, the core, its charges and the terminal potential of the
 reduction depend only on the block key, so a worker computes them once,
-from the class totals of the first member of a block that it meets; a
-member whose totals differ leaves a second signature.  The partial
-blocks are merged in enumeration order, so the output is byte-identical
-for any worker count.
+from the class totals of the first member of a block that it meets,
+and runs that member through the member-level routes
+(``schur.defect_integer`` and ``abacus.sum_hook_tables``) as a second
+signature; a member whose totals or sums differ leaves a second
+signature.  A chunk of the enumeration starts by unranking its first
+member from the partition numbers.  The partial blocks are merged in
+enumeration order, so the output is byte-identical for any worker
+count.
 """
 
 from __future__ import annotations
@@ -30,15 +39,20 @@ import os
 from collections import Counter
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, fields
-from itertools import islice
+from math import prod
+from operator import add, getitem
+from typing import NamedTuple
 
 from . import abacus, schur, weights
 from .partitions import (
+    Multipartition,
+    Partition,
     count_multipartitions,
-    enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
     format_partition,
+    partitions_of,
+    rank_vectors,
 )
 
 
@@ -129,62 +143,167 @@ class ScanReport:
         return "\n".join(lines)
 
 
-def _component(p, s: int, e: int, m: int, width: int) -> tuple:
-    # everything a member needs from one of its components under its charge
+class _Entry(NamedTuple):
+    """Everything a member needs from one of its components under its
+    charge, and that component's own pair terms of both routes."""
+
+    part: Partition
+    text: str
+    counts: tuple  # weights.residue_counts
+    summary: tuple  # weights.bead_classes
+    hooks: tuple  # abacus.hook_table over the window
+    tables: tuple  # schur.column_tables
+    defect: int  # the pair (c, c) of schur.defect_integer
+    hook_count: int  # the pair (c, c) of abacus.sum_hook_tables
+    # the parts of hooks and tables that the cross terms read: the lowest
+    # gap, the beads above it, the P and Q sums and lookups, the rows and
+    # the shifts
+    gap: int
+    above: tuple
+    p_sums: list
+    p_at: object
+    q_sums: list
+    q_at: object
+    rows: list
+    shifts: list
+
+
+def _component(p, s: int, e: int, m: int, width: int) -> _Entry:
     beta = abacus.beta_numbers(p, s, m)
-    return (
+    hooks = abacus.hook_table(beta, 1 - m, m - 1, e)
+    tables = schur.column_tables(p, s, e, width)
+    gap, above, (p_values, p_sums), (q_values, q_sums) = hooks
+    return _Entry(
+        p,
         format_partition(p),
         weights.residue_counts(p, s, e),
-        abacus.hook_table(beta, 1 - m, m - 1, e),
-        schur.column_tables(p, s, e, width),
         weights.bead_classes(beta, e),
+        hooks,
+        tables,
+        sum(map(getitem, *tables)),
+        p_sums[gap] + sum(map(p_values.__getitem__, above)),
+        gap,
+        above,
+        p_sums,
+        p_values.__getitem__,
+        q_sums,
+        q_values.__getitem__,
+        *tables,
     )
+
+
+class _Chunk:
+    """The per-chunk tables of a scan and its walk over the members.
+
+    ``parts`` holds one entry per distinct (partition, charge) pair.
+    ``blocks`` maps a residue key to (members, signatures, residue weight,
+    core text, core charges, terminal potential); the signatures dict
+    keeps each distinct member signature once, in order of first
+    appearance."""
+
+    def __init__(self, l: int, n: int, e: int, charges: tuple, m: int):
+        self.l, self.n, self.e, self.charges, self.m = l, n, e, charges, m
+        self.parts: dict = {}
+        self.blocks: dict = {}
+
+    def run(self, start: int, stop: int) -> dict:
+        """Walk the members start..stop-1 in enumeration order: skip whole
+        rank vectors by their member counts, then clip each level."""
+        l, e = self.l, self.e
+        zeros = (0,) * e
+        offset = 0
+        for ranks in rank_vectors(self.n, l):
+            counts = [len(partitions_of(k)) for k in ranks]
+            size = prod(counts)
+            lo, hi = max(start - offset, 0), min(stop - offset, size)
+            offset += size
+            if lo < hi:
+                cols = [
+                    [self.entry(p, s) for p in partitions_of(k)]
+                    for k, s in zip(ranks, self.charges)
+                ]
+                strides = [prod(counts[c + 1 :]) for c in range(l)]
+                self.walk(cols, strides, 0, lo, hi, "", zeros, zeros, 0, 0, 0, ())
+            if offset >= stop:
+                break
+        return self.blocks
+
+    def entry(self, p, s: int) -> _Entry:
+        entry = self.parts.get((p, s))
+        if entry is None:
+            entry = self.parts[p, s] = _component(p, s, self.e, self.m, self.n)
+        return entry
+
+    def open_block(self, key: tuple, totals: tuple, entries: tuple) -> tuple:
+        """A new block from the first member the chunk meets, and that
+        member's defect and hook count by the member-level routes."""
+        l, e, m, charges = self.l, self.e, self.m, self.charges
+        packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
+        core_mp, core_charges = weights.read_core(1 - m, packed, l)
+        mp = Multipartition([entry.part for entry in entries])
+        checked = (
+            schur.defect_integer(mp, charges, e, tables=[entry.tables for entry in entries]),
+            abacus.sum_hook_tables([entry.hooks for entry in entries]),
+        )
+        block = self.blocks[key] = (
+            [],
+            {},
+            weights.residue_weight(key, charges),
+            format_multipartition(core_mp),
+            core_charges,
+            terminal,
+        )
+        return block, checked
+
+    def walk(
+        self, cols, strides, c, lo, hi, text, key, totals, potential, defect, hook_count, chosen
+    ):
+        """The members lo..hi-1 below the entries chosen for the components
+        before c, whose prefix sums are the other arguments.  Component c
+        adds its own pair terms and, with each chosen component a, the
+        pairs (a, c) and (c, a) of each route: rows of one against shifts
+        of the other, and the beads of a against Q of c and those of c
+        against P of a."""
+        entries, stride, last = cols[c], strides[c], len(cols) - 1
+        l, e, blocks = self.l, self.e, self.blocks
+        for i in range(lo // stride, (hi - 1) // stride + 1):
+            entry = entries[i]
+            (_, t, counts, summary, _, _, d, h,
+             gap_c, above_c, _, _, q_sums_c, q_c, rows_c, shifts_c) = entry
+            d += defect
+            h += hook_count
+            for (_, _, _, _, _, _, _, _,
+                 gap_a, above_a, p_sums_a, p_a, _, _, rows_a, shifts_a) in chosen:
+                d += sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
+                h += (
+                    q_sums_c[gap_a] + sum(map(q_c, above_a))
+                    + p_sums_a[gap_c] + sum(map(p_a, above_c))
+                )
+            k = tuple(map(add, key, counts))
+            tot = tuple(map(add, totals, summary[0]))
+            pot = potential + weights.runner_potential(summary, c, l, e)
+            if c < last:
+                base = i * stride
+                self.walk(
+                    cols, strides, c + 1, max(lo - base, 0), min(hi - base, stride),
+                    text + t + "|", k, tot, pot, d, h, chosen + (entry,),
+                )
+                continue
+            checked = None
+            block = blocks.get(k)
+            if block is None:
+                block, checked = self.open_block(k, tot, chosen + (entry,))
+            members, signatures, weight, core_text, core_charges, terminal = block
+            moves = weights.potential_moves(pot, terminal, e)
+            signatures[tot, weight, moves, d, h, core_text, core_charges] = None
+            if checked is not None:
+                signatures[(tot, weight, moves, *checked, core_text, core_charges)] = None
+            members.append(text + t)
 
 
 def _scan_chunk(args) -> dict:
     l, n, e, charges, m, start, stop = args
-    # per-chunk tables, one entry per distinct (partition, charge) pair or
-    # block key: parts holds each pair's component entry, blocks maps a
-    # residue vector to (members, signatures, residue weight, core text,
-    # core charges, terminal potential); the signatures dict keeps each
-    # distinct member signature once, in order of first appearance
-    parts: dict = {}
-    blocks: dict = {}
-    for mp in islice(enumerate_multipartitions(l, n), start, stop):
-        comps = []
-        for pair in zip(mp, charges):
-            entry = parts.get(pair)
-            if entry is None:
-                entry = parts[pair] = _component(*pair, e, m, n)
-            comps.append(entry)
-        texts, counts, hooks, tables, summaries = zip(*comps)
-        key = tuple(map(sum, zip(*counts)))
-        totals = tuple(map(sum, zip(*[classes for classes, _, _ in summaries])))
-        block = blocks.get(key)
-        if block is None:
-            packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
-            core_mp, core_charges = weights.read_core(1 - m, packed, l)
-            block = blocks[key] = (
-                [],
-                {},
-                weights.residue_weight(key, charges),
-                format_multipartition(core_mp),
-                core_charges,
-                terminal,
-            )
-        members, signatures, weight, core_text, core_charges, terminal = block
-        signature = (
-            totals,
-            weight,
-            weights.reduction_moves(summaries, terminal, e),
-            schur.defect_integer(mp, charges, e, tables=tables),
-            abacus.sum_hook_tables(hooks),
-            core_text,
-            core_charges,
-        )
-        members.append("|".join(texts))
-        signatures[signature] = None
-    return blocks
+    return _Chunk(l, n, e, charges, m).run(start, stop)
 
 
 def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:

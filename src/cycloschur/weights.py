@@ -21,8 +21,9 @@ the beads of each residue class mod e from the bottom, l per position,
 and the nested runners are read off the packed counts.  Every transfer
 lowers the potential sum over beads (c, y) of (l*y - e*c) by exactly e,
 so the weight is the potential of the start minus that of the terminal
-state, over e (``reduction_moves``).  Below the lowest gap of all
-runners every runner is full and nothing moves.
+state, over e (``reduction_moves``, summed from the per-runner terms of
+``runner_potential`` and divided by ``potential_moves``).  Below the
+lowest gap of all runners every runner is full and nothing moves.
 
 Both depend on a runner only through its class summary
 (``bead_classes``), and the packing only on the class totals summed
@@ -210,17 +211,28 @@ def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tupl
     return packed, potential
 
 
-def reduction_moves(summaries: Sequence[tuple], terminal: int, e: int) -> int:
-    """The number of transfers from the runners with these ``bead_classes``
-    summaries, in component order, to a terminal state of that potential."""
-    level = len(summaries)
-    start = sum(
-        level * total - e * c * size for c, (_, total, size) in enumerate(summaries)
-    )
+def runner_potential(summary: tuple, c: int, level: int, e: int) -> int:
+    """The potential sum of (level*y - e*c) over the beads y of runner c of
+    a level-``level`` abacus, from the runner's ``bead_classes`` summary."""
+    _, total, size = summary
+    return level * total - e * c * size
+
+
+def potential_moves(start: int, terminal: int, e: int) -> int:
+    """The number of transfers from a start potential to a terminal one:
+    each transfer lowers the potential by exactly e."""
     moves, rest = divmod(start - terminal, e)
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
     return moves
+
+
+def reduction_moves(summaries: Sequence[tuple], terminal: int, e: int) -> int:
+    """The number of transfers from the runners with these ``bead_classes``
+    summaries, in component order, to a terminal state of that potential."""
+    level = len(summaries)
+    start = sum(runner_potential(summary, c, level, e) for c, summary in enumerate(summaries))
+    return potential_moves(start, terminal, e)
 
 
 def read_core(

@@ -660,6 +660,77 @@ def test_scan_reads_each_core_once_per_block_key_per_chunk(monkeypatch, jobs):
     assert sorted(calls) == ["read_core"] * keys + ["terminal_state"] * keys
 
 
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, jobs):
+    # the walk builds no member; only the member-level cross-check on the
+    # first member of each block in each chunk does
+    built = []
+    real = scanning.Multipartition
+
+    def counting(components):
+        mp = real(components)
+        built.append(mp)
+        return mp
+
+    monkeypatch.setattr(scanning, "Multipartition", counting)
+    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
+    report = scan(2, 6, 2, (0, 1), jobs=jobs)
+    assert report.violations == 0
+    members = list(enumerate_multipartitions(2, 6))
+    size = -(-len(members) // jobs)
+    firsts = []
+    for start in range(0, len(members), size):
+        keys = set()
+        for mp in members[start : start + size]:
+            key = residue_vector(mp, (0, 1), 2)
+            if key not in keys:
+                keys.add(key)
+                firsts.append(mp)
+    assert (len(firsts) > len(report.blocks)) == (jobs > 1)
+    assert built == firsts
+
+
+def test_scan_cuts_at_every_member_index(monkeypatch):
+    # 51 members: with jobs = 51 every chunk holds one member, and the other
+    # job counts cut inside and between rank vectors at other offsets; each
+    # chunk starts by unranking its first member
+    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
+    assert count_multipartitions(3, 4) == 51
+    expected = scan(3, 4, 2, (0, 0, 1))
+    for jobs in range(1, 52):
+        report = scan(3, 4, 2, (0, 0, 1), jobs=jobs)
+        assert report == expected, jobs
+        assert report.to_text() == expected.to_text(), jobs
+
+
+@pytest.mark.parametrize("field", ["defect", "hook_count"])
+def test_scan_flags_a_fault_in_the_nested_sums(monkeypatch, capsys, field):
+    # the cached pair (c, c) term of one route is one too high for 2.1 at
+    # charge 0, which sits at components 0 and 1: the member-level routes
+    # never read it, so every block holding a member with that component,
+    # and no other, gets a second signature
+    real = scanning._component
+
+    def broken(p, s, *args):
+        entry = real(p, s, *args)
+        if (p, s) == ((2, 1), 0):
+            return entry._replace(**{field: getattr(entry, field) + 1})
+        return entry
+
+    clean = scan(3, 5, 2, (0, 0, 1))
+    affected = [
+        any("2.1" in member.split("|")[:2] for member in b.members) for b in clean.blocks
+    ]
+    assert 0 < sum(affected) < len(affected)
+    monkeypatch.setattr(scanning, "_component", broken)
+    code, out, _ = run(capsys, "scan", "--l", "3", "--n", "5", "--e", "2", "--charge", "0,0,1")
+    assert code == 1
+    heads = [line for line in out.splitlines() if line.startswith("block ")]
+    assert [line.endswith("VIOLATION") for line in heads] == affected
+
+
 def test_internal_error_exits_4(monkeypatch, capsys):
     def broken(totals, base, level, e):
         raise ArithmeticError("the reduction potential must fall by a multiple of e")

@@ -16,6 +16,7 @@ from cycloschur.partitions import (
     parse_multicharge,
     parse_multipartition,
     partitions_of,
+    rank_vectors,
 )
 
 partitions = st.lists(st.integers(1, 8), max_size=6).map(
@@ -187,3 +188,11 @@ def test_multicharge_grammar():
         parse_multicharge("")
     with pytest.raises(ValueError):
         parse_multicharge("1,x")
+
+
+def test_rank_vectors_order_matches_enumeration():
+    assert list(rank_vectors(2, 2)) == [(2, 0), (1, 1), (0, 2)]
+    for l in range(1, 4):
+        for n in range(6):
+            ranks = [tuple(c.rank for c in mp) for mp in enumerate_multipartitions(l, n)]
+            assert list(dict.fromkeys(ranks)) == list(rank_vectors(n, l)), (l, n)

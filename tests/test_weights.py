@@ -19,6 +19,7 @@ from cycloschur.weights import (
     ecore_classical,
     fayers_weight,
     normalized_instance,
+    potential_moves,
     residue_vector,
     residue_weight,
     uglov_weight,
@@ -289,3 +290,12 @@ def test_normalized_instance():
     assert mp2 == parse_multipartition("1.1|1|2")
     # weights agree with the original residue computation
     assert fayers_weight(mp2, norm, 3) == fayers_weight(mp, (5, 1, 0), 3)
+
+
+def test_potential_moves_rejects_a_potential_it_cannot_reach():
+    # each transfer lowers the potential by exactly e
+    assert potential_moves(7, 1, 3) == 2
+    assert potential_moves(4, 4, 3) == 0
+    for start, terminal in ((7, 2), (1, 7)):
+        with pytest.raises(ArithmeticError):
+            potential_moves(start, terminal, 3)
