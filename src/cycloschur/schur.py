@@ -10,8 +10,15 @@ structure unexpanded; defects are read off the factors one by one,
 while ``specialize_integer`` expands the product into an honest Laurent
 polynomial as an independent oracle.  Under Q_a -> y^(s_a), q -> y every
 factor has integer coefficients and every cyclotomic polynomial is
-monic, so ``LaurentPoly`` keeps integer coefficients only: products are
-convolutions and ``nu_phi`` divides by Phi_e with integer long division.
+monic, so ``LaurentPoly`` keeps integer coefficients only.  The oracle
+expands and divides with two exact kernels for the binomial y^h - 1:
+``times_binomial`` is one shifted subtraction and ``divide_binomial``
+one running sum per residue class mod h.  ``specialize_integer``
+multiplies by a pair factor with ``times_binomial`` and by [h]_q as
+(y^h - 1)/(y - 1).  ``nu_phi`` divides by Phi_e as p*C/(y^e - 1), where
+the cofactor C = (y^e - 1)/Phi_e is the product of the Phi_d with d | e,
+d < e; since C*Phi_e = y^e - 1 and Z[y] is an integral domain, y^e - 1
+divides p*C exactly when Phi_e divides p, with the same quotient.
 
 Roots of unity live in a single ambient cyclic group Z/NZ so that every
 equality test is exact integer arithmetic.  A ``CycloSpec`` records a
@@ -31,8 +38,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import repeat
-from operator import add, getitem, index, mul, sub
+from itertools import accumulate, repeat
+from operator import add, getitem, index, mul, neg, sub
 from typing import Iterable, Sequence
 
 from .partitions import Multipartition, column_lengths, n_invariant
@@ -92,7 +99,7 @@ class LaurentPoly:
             return LaurentPoly()
         out = [0] * (len(a) + len(b) - 1)
         width = len(a)
-        # pair factors are binomials y^h - 1: skip the zeros between the ends
+        # cyclotomic polynomials and their cofactors are sparse: skip the zeros
         for j, c in enumerate(b):
             if c:
                 out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(c)))
@@ -115,6 +122,45 @@ class LaurentPoly:
     def span(self) -> int:
         """max_exp - min_exp; 0 for monomials."""
         return self.max_exp - self.min_exp
+
+    def times_binomial(self, h: int) -> "LaurentPoly":
+        """self * (y^h - 1) for h != 0, as one shifted subtraction."""
+        if h == 0:
+            raise ValueError("y^0 - 1 is the zero polynomial")
+        c = self.coeffs
+        if not c:
+            return LaurentPoly()
+        if h < 0:
+            # y^h sits below 1: self * y^h first, then -self from offset -h
+            out = c + [0] * -h
+            out[-h:] = map(sub, out[-h:], c)
+            return LaurentPoly._dense(self.low + h, out)
+        out = [0] * h + c
+        out[: len(c)] = map(sub, out[: len(c)], c)
+        return LaurentPoly._dense(self.low, out)
+
+    def divide_binomial(self, h: int) -> "LaurentPoly":
+        """Quotient self / (y^h - 1) for h >= 1; raises ValueError when it
+        is not exact.  Writing self = sum p_k y^(low+k), the quotient has
+        q_k = -(p_k + p_(k-h) + p_(k-2h) + ...), one running sum per
+        residue class of k mod h, and the division is exact when the top
+        h running sums vanish."""
+        if h < 1:
+            raise ValueError("y^h - 1 is divided out for h >= 1 only")
+        c = self.coeffs
+        if not c:
+            return LaurentPoly()
+        cut = len(c) - h
+        if cut < 1:
+            raise ValueError("inexact division")
+        out = [0] * len(c)
+        for r in range(h):
+            out[r::h] = accumulate(map(neg, c[r::h]))
+        if any(out[cut:]):
+            raise ValueError("inexact division")
+        del out[cut:]
+        # q_0 = -p_0 and the top of the quotient is p's top: both nonzero
+        return LaurentPoly._dense(self.low, out)
 
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self / other when it exists in the Laurent ring over
@@ -191,16 +237,23 @@ def cyclotomic_poly(e: int) -> LaurentPoly:
     return result
 
 
+@lru_cache(maxsize=None)
+def _phi_cofactor(e: int) -> LaurentPoly:
+    """C = (y^e - 1) / Phi_e, the product of Phi_d over d | e, d < e."""
+    return LaurentPoly({e: 1, 0: -1}).exact_divide(cyclotomic_poly(e))
+
+
 def nu_phi(p: LaurentPoly, e: int) -> int:
     """Multiplicity of the e-th cyclotomic polynomial in p, by repeated
-    exact division."""
+    exact division: p / Phi_e is p * C / (y^e - 1), C = ``_phi_cofactor(e)``."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    phi = cyclotomic_poly(e)
+    # outside the try, so that a bad e raises instead of counting 0
+    cofactor = _phi_cofactor(e)
     count = 0
     while True:
         try:
-            p = p.exact_divide(phi)
+            p = (p * cofactor).divide_binomial(e)
         except ValueError:
             return count
         count += 1
@@ -264,14 +317,15 @@ def specialize_integer(mp: Multipartition, charges: Sequence[int]) -> LaurentPol
     f = schur_factors(mp)
     poly = LaurentPoly.term(f.q_exponent, f.sign)
     for h in f.q_integers:
-        poly = poly * q_integer(h)
+        # [h]_y = (y^h - 1) / (y - 1)
+        poly = poly.times_binomial(h).divide_binomial(1)
     for h, a, b in f.pair_factors:
         ch = h + charges[a] - charges[b]
         if ch == 0:
             raise BadSpecialisationError(
                 f"zero charged hook between components {a} and {b}"
             )
-        poly = poly * LaurentPoly({ch: 1, 0: -1})
+        poly = poly.times_binomial(ch)
     return poly
 
 

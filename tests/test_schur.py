@@ -80,6 +80,57 @@ def test_laurent_product_divides_back(p, q):
     assert (p * q).exact_divide(q) == p
 
 
+@given(laurents, st.integers(-6, 6).filter(bool))
+def test_times_binomial_is_a_product(p, h):
+    assert p.times_binomial(h) == p * LaurentPoly({h: 1, 0: -1})
+
+
+@given(laurents, st.integers(1, 6))
+def test_divide_binomial_undoes_times_binomial(p, h):
+    assert p.times_binomial(h).divide_binomial(h) == p
+
+
+@given(laurents)
+def test_divide_binomial_rejects_a_nonzero_value_at_one(p):
+    if sum(p.coeffs) == 0:
+        return
+    with pytest.raises(ValueError):
+        p.divide_binomial(1)
+
+
+def test_divide_binomial_rejects_inexact_quotients():
+    # y^2 - 1 is not divisible by y^3 - 1, and y - 1 is not divisible by y^2 - 1
+    with pytest.raises(ValueError):
+        LaurentPoly({2: 1, 0: -1}).divide_binomial(3)
+    with pytest.raises(ValueError):
+        LaurentPoly({1: 1, 0: -1}).divide_binomial(2)
+    with pytest.raises(ValueError):
+        cyclotomic_poly(6).divide_binomial(6)
+    assert LaurentPoly.zero().divide_binomial(4).is_zero
+
+
+def test_binomial_kernels_reject_h_zero():
+    with pytest.raises(ValueError):
+        Y.times_binomial(0)
+    with pytest.raises(ValueError):
+        LaurentPoly({1: 1, 0: -1}).divide_binomial(0)
+
+
+def test_binomial_kernels_build_q_integers():
+    for h in range(1, 31):
+        assert ONE.times_binomial(h).divide_binomial(1) == q_integer(h)
+
+
+@given(laurents.filter(lambda p: not p.is_zero))
+def test_nu_phi_counts_each_cyclotomic_factor(p):
+    for e in range(1, 13):
+        base = nu_phi(p, e)
+        power = p
+        for k in range(1, 4):
+            power = power * cyclotomic_poly(e)
+            assert nu_phi(power, e) == base + k, (p, e, k)
+
+
 def test_laurent_serialisation():
     assert str(LaurentPoly({0: 1, -2: -1})) == "1 - y^-2"
     assert str(cyclotomic_poly(6)) == "y^2 - y + 1"
@@ -114,6 +165,9 @@ def test_nu_phi_examples():
     assert nu_phi(LaurentPoly({6: 1, 0: -1}), 3) == 1
     with pytest.raises(ValueError):
         nu_phi(LaurentPoly.zero(), 2)
+    # a bad e raises rather than reading as multiplicity 0
+    with pytest.raises(ValueError):
+        nu_phi(ONE, 0)
 
 
 def test_q_integer():
