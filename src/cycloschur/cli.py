@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import io
 import json
 import re
 import sys
@@ -36,23 +37,42 @@ def _check_packages(level: int, p: int | None) -> None:
         raise ValueError("p must divide the level")
 
 
+_NEEDS_QUOTING = re.compile('[,"\r\n]')
+
+
+def _csv_fields(*values) -> str:
+    """values as one CSV line without its terminator, quoted by the csv module."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="").writerow(values)
+    return buf.getvalue()
+
+
 def write_scan_csv(report: ScanReport, path: str, p: int | None = None) -> None:
     """Per-member CSV rows; with p given, each member's orbit size under
-    the shift by (level/p)-packages is appended."""
+    the shift by (level/p)-packages is appended.
+
+    The fixed columns of a block are formatted by the csv module once per
+    block, and each member text goes between them as it is: the csv
+    module writes a field raw unless it holds a comma, a quote, CR or LF,
+    and a member holding one raises ValueError before the file is opened.
+    The file is written one block at a time."""
     _check_packages(report.level, p)
+    for idx, b in enumerate(report.blocks):
+        if _NEEDS_QUOTING.search("".join(b.members)):
+            raise ValueError(f"block {idx} has a member that the CSV would quote")
     header = ["block_id", "residue_key", "multipartition", "weight", "defect", "core"]
     if p is not None:
         header.append("orbit_size")
+        d = report.level // p
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
+        fh.write(_csv_fields(*header) + "\r\n")
         for idx, b in enumerate(report.blocks):
-            key = format_multicharge(b.key)
-            for member in b.members:
-                row = [idx, key, member, b.weight, b.defect, b.core]
-                if p is not None:
-                    row.append(groups.orbit(member.split("|"), report.level // p, p))
-                writer.writerow(row)
+            head = _csv_fields(idx, format_multicharge(b.key)) + ","
+            tail = "," + _csv_fields(b.weight, b.defect, b.core)
+            if p is None:
+                fh.writelines(f"{head}{m}{tail}\r\n" for m in b.members)
+            else:
+                fh.writelines(f"{head}{m}{tail},{groups.orbit(m, d, p)}\r\n" for m in b.members)
 
 
 def _charges_for(args, level: int) -> tuple[int, ...]:

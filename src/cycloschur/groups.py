@@ -16,9 +16,10 @@ elements, so its defect is the sum of the package defects
 
 from __future__ import annotations
 
+from math import gcd
 from typing import Sequence
 
-from .partitions import Multipartition
+from .partitions import Multipartition, format_multipartition
 from .schur import CycloSpec, defect_general, defect_integer, specialize_integer
 from .weights import residue_vector
 
@@ -32,19 +33,31 @@ def sigma(mp: Multipartition, d: int) -> Multipartition:
     return Multipartition(mp[-d:] + mp[:-d])
 
 
-def orbit(mp: Sequence, d: int, p: int) -> int:
+def orbit(mp: str | Sequence, d: int, p: int) -> int:
     """The size of the orbit of mp under the shift by d-packages, for
     level p*d: the least number of package rotations that fixes mp, a
     divisor of p whose cofactor p // size is the order of the stabilizer.
 
-    mp may be any sequence of components that compare equal exactly when
-    the partitions do, such as a list of their texts."""
-    if p < 1 or len(mp) != p * d:
+    mp is a member text such as ``"2.1|0|2.1|0"``, a ``Multipartition``
+    or a sequence of component texts.  The size is read from the period
+    of the text t = mp + "|".  Since t ends in "|", a character rotation
+    that fixes t moves a whole number of components, so the least such
+    rotation r, the first match of t in t + t after position 0, moves
+    the least number c of components that fixes mp.  The shifts fixing
+    mp are the multiples of c, and c divides the level p*d; the k-th
+    power of the shift fixes mp exactly when c divides k*d, so the size
+    is c // gcd(c, d), a divisor of p."""
+    if isinstance(mp, str):
+        text = mp
+    elif isinstance(mp, Multipartition):
+        text = format_multipartition(mp)
+    else:
+        text = "|".join(mp)
+    t = text + "|"
+    if not text or d < 1 or p < 1 or t.count("|") != p * d:
         raise ValueError("level must equal p*d")
-    size = next(k for k in range(1, p + 1) if mp[k * d :] + mp[: k * d] == mp)
-    if p % size:
-        raise ArithmeticError(f"orbit size {size} does not divide {p}")
-    return size
+    c = t.count("|", 0, (t + t).find(t, 1))
+    return c // gcd(c, d)
 
 
 def _is_periodic(seq: Sequence, d: int) -> bool:

@@ -1,5 +1,6 @@
 import csv
 import hashlib
+import io
 import json
 import random
 from itertools import combinations_with_replacement, islice, product
@@ -9,9 +10,11 @@ import pytest
 from cycloschur import abacus, scanning, weights
 from cycloschur.abacus import count_divisible_hooks, multi_beta
 from cycloschur.cli import main, write_scan_csv
+from cycloschur.groups import sigma
 from cycloschur.partitions import (
     count_multipartitions,
     enumerate_multipartitions,
+    format_multicharge,
     format_multipartition,
     parse_multipartition,
 )
@@ -322,6 +325,56 @@ def test_scan_csv(tmp_path):
     rows = list(csv.reader(with_orbits.open()))
     assert rows[0][-1] == "orbit_size"
     assert {row[-1] for row in rows[1:]} <= {"1", "2"}
+
+
+def _sigma_orbit(text, d):
+    # the number of distinct shifts by d-packages, by walking sigma
+    mp = parse_multipartition(text)
+    size, current = 1, sigma(mp, d)
+    while current != mp:
+        size, current = size + 1, sigma(current, d)
+    return size
+
+
+@pytest.mark.parametrize(
+    "l, n, d",
+    [(4, 4, 2), (4, 4, 1), (6, 3, 2), (6, 4, 3)],
+)
+def test_scan_csv_parses_back(tmp_path, l, n, d):
+    # every row reads back as its block's fields and the member, with the
+    # orbit column a sigma walk; the bytes are what csv.writer writes
+    p = l // d
+    report = scan(l, n, 3, (0, 1) * (l // 2))
+    path = tmp_path / "out.csv"
+    write_scan_csv(report, str(path), p)
+    expected = [["block_id", "residue_key", "multipartition", "weight", "defect", "core", "orbit_size"]]
+    for idx, b in enumerate(report.blocks):
+        for m in b.members:
+            row = [idx, format_multicharge(b.key), m, b.weight, b.defect, b.core, _sigma_orbit(m, d)]
+            expected.append([str(v) for v in row])
+    with path.open(newline="") as fh:
+        assert list(csv.reader(fh)) == expected
+    assert {row[-1] for row in expected[1:]} == {str(k) for k in range(1, p + 1) if p % k == 0}
+    reference = io.StringIO()
+    csv.writer(reference).writerows(expected)
+    assert path.read_bytes() == reference.getvalue().encode()
+    write_scan_csv(report, str(path))
+    with path.open(newline="") as fh:
+        assert list(csv.reader(fh)) == [row[:-1] for row in expected]
+
+
+@pytest.mark.parametrize("member", ["1,1|0", '1"|0', "1\r|0", "1|\n0"])
+def test_scan_csv_rejects_a_member_it_would_quote(monkeypatch, tmp_path, capsys, member):
+    block = BlockReport((1, 1), ("1|1", member), 1, 0, "0|0", (0, 1), False)
+    report = ScanReport(2, 2, 2, (0, 1), 4, (block,))
+    path = tmp_path / "out.csv"
+    with pytest.raises(ValueError, match="block 0"):
+        write_scan_csv(report, str(path))
+    assert not path.exists()
+    monkeypatch.setattr("cycloschur.cli.scan", lambda *args: report)
+    code, out, err = run(capsys, "scan", "--l", "2", "--n", "2", "--e", "2", "--csv", str(path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and not path.exists()
 
 
 def test_scan_files_via_cli(tmp_path, capsys):

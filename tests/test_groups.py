@@ -76,6 +76,34 @@ def test_orbit_of_component_texts_matches_sigma():
                 assert orbit(mp, d, p) == size
 
 
+def test_orbit_of_member_text_matches_other_forms():
+    # the text, the Multipartition and the component texts give one size,
+    # also with empty components, which are written "0"
+    for d, p in [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (3, 2), (1, 5), (1, 6), (6, 1)]:
+        for n in range(0, 4):
+            for mp in enumerate_multipartitions(d * p, n):
+                text = format_multipartition(mp)
+                size = orbit(text, d, p)
+                assert size == orbit(mp, d, p) == orbit(text.split("|"), d, p)
+    assert orbit("0|0|0|0", 1, 4) == 1
+    assert orbit("1|0|1|0", 1, 4) == 2
+    assert orbit("1|0|0|1|0|0", 1, 6) == 3
+    assert orbit("1|0|0|1|0|0", 3, 2) == 1
+    assert orbit("1|0|0|0|0|0", 2, 3) == 3
+
+
+@pytest.mark.parametrize(
+    "mp, d, p",
+    [("1|0", 1, 3), ("1|0|1", 2, 2), ("1", 1, 2), ("1|0", 0, 2), ("0", 0, 1), ("1|0", 2, 0), ("", 1, 1)],
+)
+def test_orbit_rejects_a_level_other_than_p_times_d(mp, d, p):
+    with pytest.raises(ValueError):
+        orbit(mp, d, p)
+    if mp:
+        with pytest.raises(ValueError):
+            orbit(parse_multipartition(mp), d, p)
+
+
 def test_glpn_defect_reduces_to_general_at_p1():
     eta = RootOfUnity(12, 4)
     for mp in enumerate_multipartitions(2, 3):
