@@ -34,10 +34,9 @@ cost does not grow with the window; the scan builds one table per
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from itertools import accumulate
 from operator import gt
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .partitions import Multipartition, Partition, generalized_hook
 
@@ -83,31 +82,40 @@ def partition_from_beta(x: Sequence[int], m: int) -> tuple[Partition, int]:
     return Partition(b + j - s - 1 for j, b in enumerate(x, start=1)), s
 
 
-@dataclass(frozen=True)
-class BetaConfig:
-    """Per-component beta-numbers of a charged multipartition."""
-
+class _BetaFields(NamedTuple):
     runners: tuple[tuple[int, ...], ...]
     charges: tuple[int, ...]
     m: int
 
-    def __post_init__(self):
-        if self.m < 1:
+
+class BetaConfig(_BetaFields):
+    """Per-component beta-numbers of a charged multipartition."""
+
+    __slots__ = ()
+
+    def __new__(cls, runners, charges, m):
+        if m < 1:
             raise ValueError("window m must be positive")
-        if len(self.runners) != len(self.charges):
+        if len(runners) != len(charges):
             raise ValueError("one runner per charge required")
-        if not self.runners:
+        if not runners:
             raise ValueError("at least one component required")
-        floor = 1 - self.m
-        for c, (runner, s) in enumerate(zip(self.runners, self.charges)):
-            if len(runner) != self.m + s:
+        floor = 1 - m
+        for c, (runner, s) in enumerate(zip(runners, charges)):
+            if len(runner) != m + s:
                 raise ValueError(
-                    f"component {c}: expected {self.m + s} beads, got {len(runner)}"
+                    f"component {c}: expected {m + s} beads, got {len(runner)}"
                 )
             if not all(map(gt, runner, runner[1:])):
                 raise ValueError(f"component {c}: beads must strictly decrease")
             if runner[-1] != floor:
                 raise ValueError(f"component {c}: last bead must sit at {floor}")
+        return super().__new__(cls, runners, charges, m)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that _replace runs the checks too
+        return cls(*iterable)
 
     @property
     def level(self) -> int:
@@ -129,8 +137,7 @@ def multi_beta(
     )
 
 
-@dataclass(frozen=True)
-class ChargedHooks:
+class ChargedHooks(NamedTuple):
     """A multiset of charged hook lengths, stored as sorted
     (value, multiplicity) pairs."""
 

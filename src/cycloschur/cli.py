@@ -10,9 +10,11 @@ line on stderr).  The scan itself and its report live in
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
 import json
+import os
 import re
 import sys
 
@@ -241,15 +243,31 @@ def _cmd_glpn(args) -> int:
 
 
 def _cmd_scan(args) -> int:
+    """Every output path is opened before the scan, in append mode, which
+    creates a missing file and empties none.  If anything fails from then
+    on (a path that cannot be opened, a write, a member the CSV refuses),
+    the files this command created are removed.  The files go before
+    stdout, so that a failure leaves stdout empty."""
     charges = _charges_for(args, args.l)
     _check_packages(args.l, args.p)
-    report = scan(args.l, args.n, args.e, charges, args.jobs)
-    # the files go first, so that a path that cannot be written leaves stdout empty
-    if args.json is not None:
-        with open(args.json, "w") as fh:
-            fh.write(report.to_json_str() + "\n")
-    if args.csv is not None:
-        write_scan_csv(report, args.csv, args.p)
+    paths = [path for path in (args.csv, args.json) if path is not None]
+    created = [path for path in paths if not os.path.exists(path)]
+    try:
+        for path in paths:
+            open(path, "a").close()
+        report = scan(args.l, args.n, args.e, charges, args.jobs)
+        # write_scan_csv refuses a member before it opens its file, so the
+        # CSV goes first
+        if args.csv is not None:
+            write_scan_csv(report, args.csv, args.p)
+        if args.json is not None:
+            with open(args.json, "w") as fh:
+                fh.write(report.to_json_str() + "\n")
+    except BaseException:
+        for path in created:
+            with contextlib.suppress(OSError):
+                os.remove(path)
+        raise
     print(report.to_text())
     return EXIT_VIOLATION if report.violations else EXIT_OK
 

@@ -37,8 +37,6 @@ from __future__ import annotations
 import json
 import os
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, fields
 from math import prod
 from operator import add, getitem
 from typing import NamedTuple
@@ -56,21 +54,15 @@ from .partitions import (
 )
 
 
-def _fields_to_json(report) -> dict:
-    # tuples are written as JSON arrays, so nothing is copied
-    return {f.name: getattr(report, f.name) for f in fields(report)}
-
-
 def _fields_from_json(cls, obj: dict) -> dict:
     # JSON arrays come back as lists; every sequence field is a tuple
     return {
-        f.name: tuple(value) if isinstance(value := obj[f.name], list) else value
-        for f in fields(cls)
+        name: tuple(value) if isinstance(value := obj[name], list) else value
+        for name in cls._fields
     }
 
 
-@dataclass(frozen=True)
-class BlockReport:
+class BlockReport(NamedTuple):
     """One proxy block: key, members in enumeration order, and the weight,
     defect, core and core charges of its first member.  ``violation`` is
     set when its members disagree on any of these or on the four defect
@@ -86,15 +78,15 @@ class BlockReport:
     violation: bool
 
     def to_json(self) -> dict:
-        return _fields_to_json(self)
+        # tuples are written as JSON arrays, so nothing is copied
+        return self._asdict()
 
     @classmethod
     def from_json(cls, obj: dict) -> "BlockReport":
         return cls(**_fields_from_json(cls, obj))
 
 
-@dataclass(frozen=True)
-class ScanReport:
+class ScanReport(NamedTuple):
     level: int
     rank: int
     e: int
@@ -108,7 +100,7 @@ class ScanReport:
 
     def to_json(self) -> dict:
         return {
-            **_fields_to_json(self),
+            **self._asdict(),
             "blocks": [b.to_json() for b in self.blocks],
             "violations": self.violations,
         }
@@ -336,6 +328,9 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]
     else:
+        # imported here, so that a serial scan never loads multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
             partials = list(pool.map(_scan_chunk, chunks))
 

@@ -36,11 +36,10 @@ a bad specialisation.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate, repeat
 from operator import add, getitem, index, mul, neg, sub
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Multipartition, column_lengths, n_invariant
 
@@ -259,8 +258,7 @@ def nu_phi(p: LaurentPoly, e: int) -> int:
         count += 1
 
 
-@dataclass(frozen=True)
-class GenericSchurFactors:
+class GenericSchurFactors(NamedTuple):
     """The factored Schur element: a sign, a power of q and two factor
     lists.  A rank-n level-l multipartition has n q-integer entries
     (classical hook lengths, all >= 1) and n(l-1) pair entries
@@ -384,17 +382,26 @@ def defect_integer(
     return sum(sum(map(getitem, r, v)) for r, _ in tables for _, v in tables)
 
 
-@dataclass(frozen=True)
-class RootOfUnity:
-    """zeta_N^t: the exponent t inside the cyclic group of order N."""
-
+class _RootFields(NamedTuple):
     ambient: int
     exponent: int
 
-    def __post_init__(self):
-        if self.ambient < 1:
+
+class RootOfUnity(_RootFields):
+    """zeta_N^t: the exponent t inside the cyclic group of order N,
+    reduced mod N."""
+
+    __slots__ = ()
+
+    def __new__(cls, ambient, exponent):
+        if ambient < 1:
             raise ValueError("ambient order must be positive")
-        object.__setattr__(self, "exponent", self.exponent % self.ambient)
+        return super().__new__(cls, ambient, exponent % ambient)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that _replace reduces the exponent too
+        return cls(*iterable)
 
     @property
     def element_order(self) -> int:
@@ -476,8 +483,15 @@ def class_multicharge(
     return tuple(out)
 
 
-@dataclass(frozen=True)
-class CycloSpec:
+class _SpecFields(NamedTuple):
+    level: int
+    charges: tuple[int, ...]
+    q_exp: int
+    eta: RootOfUnity
+    twist: tuple[int, ...]
+
+
+class CycloSpec(_SpecFields):
     """A one-variable specialisation of the level-l parameters.
 
     Component a is sent to omega^(twist_a) * y^(charges_a) where omega
@@ -487,25 +501,27 @@ class CycloSpec:
     plain integer-multicharge parameters.
     """
 
-    level: int
-    charges: tuple[int, ...]
-    q_exp: int
-    eta: RootOfUnity
-    twist: tuple[int, ...] | None = None
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.level < 1:
+    def __new__(cls, level, charges, q_exp, eta, twist=None):
+        if level < 1:
             raise ValueError("level must be at least 1")
-        if len(self.charges) != self.level:
+        if len(charges) != level:
             raise ValueError("one charge per component required")
-        if self.q_exp == 0:
+        if q_exp == 0:
             raise ValueError("the q-exponent must be nonzero")
-        if self.eta.ambient % self.level != 0:
+        if eta.ambient % level != 0:
             raise ValueError("the level must divide the ambient order")
-        if self.twist is None:
-            object.__setattr__(self, "twist", tuple(range(self.level)))
-        elif len(self.twist) != self.level:
+        if twist is None:
+            twist = tuple(range(level))
+        elif len(twist) != level:
             raise ValueError("one twist exponent per component required")
+        return super().__new__(cls, level, charges, q_exp, eta, twist)
+
+    @classmethod
+    def _make(cls, iterable):
+        # so that _replace runs the checks too
+        return cls(*iterable)
 
     def parameter(self, a: int) -> RootOfUnity:
         """The specialised value of component a, evaluated at eta."""

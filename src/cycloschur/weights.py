@@ -51,8 +51,7 @@ that they share their defect as well.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .abacus import active_beads, check_domain, multi_beta, normalize_multicharge
 from .partitions import (
@@ -165,8 +164,7 @@ def uglov_weight(
     return _reduce_runners([set(r) for r in cfg.runners], cfg.m, e, rng)
 
 
-@dataclass(frozen=True)
-class CoreResult:
+class CoreResult(NamedTuple):
     """Terminal state of the reduction: the core multipartition, the
     terminal charges (bead counts change as beads cross runners), and
     the number of moves performed."""

@@ -2,7 +2,10 @@ import csv
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations_with_replacement, islice, product
 
 import pytest
@@ -438,6 +441,40 @@ def test_scan_unwritable_path_exits_2(tmp_path, capsys, flag):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("bad", ["--csv", "--json"])
+@pytest.mark.parametrize("bad_first", [True, False])
+def test_scan_bad_path_leaves_no_file(tmp_path, capsys, bad, bad_first):
+    # whichever path is bad and whichever comes first, the good one is not
+    # left behind, and a file that was there keeps its contents
+    good = "--json" if bad == "--csv" else "--csv"
+    files = [(bad, str(tmp_path / "missing" / "x.out")), (good, str(tmp_path / "ok.out"))]
+    if not bad_first:
+        files.reverse()
+    argv = ["scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1"]
+    argv += [token for pair in files for token in pair]
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ")
+    assert list(tmp_path.iterdir()) == []
+    (tmp_path / "ok.out").write_text("kept\n")
+    assert run(capsys, *argv)[:2] == (2, "")
+    assert (tmp_path / "ok.out").read_text() == "kept\n"
+
+
+def test_scan_refused_member_leaves_no_file(monkeypatch, tmp_path, capsys):
+    # the CSV refuses a member after the scan: neither file is left
+    block = BlockReport((1, 1), ("1|1", "1,1|0"), 1, 0, "0|0", (0, 1), False)
+    report = ScanReport(2, 2, 2, (0, 1), 4, (block,))
+    monkeypatch.setattr("cycloschur.cli.scan", lambda *args: report)
+    for order in (("--json", "r.json", "--csv", "r.csv"), ("--csv", "r.csv", "--json", "r.json")):
+        argv = ["scan", "--l", "2", "--n", "2", "--e", "2"]
+        argv += [str(tmp_path / token) if token.startswith("r.") else token for token in order]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert "would quote" in err
+        assert list(tmp_path.iterdir()) == []
+
+
 def test_scan_stdout_unchanged_with_files(tmp_path, capsys):
     code, out, _ = run(
         capsys,
@@ -446,6 +483,32 @@ def test_scan_stdout_unchanged_with_files(tmp_path, capsys):
     )
     assert code == 0
     assert out == scan(2, 3, 2, (0, 1)).to_text() + "\n"
+
+
+GUARD = """
+import io, sys
+from contextlib import redirect_stdout
+sys.path.insert(0, sys.argv[1])
+import cycloschur.cli
+loaded = [sorted(m for m in sys.argv[2:] if m in sys.modules)]
+with redirect_stdout(io.StringIO()):
+    code = cycloschur.cli.main(["scan", "--l", "2", "--n", "3", "--e", "2", "--jobs", "1"])
+loaded.append(sorted(m for m in sys.argv[2:] if m in sys.modules))
+print(code, loaded)
+"""
+
+
+def test_import_and_serial_scan_load_no_pool_and_no_dataclasses():
+    # neither importing the CLI nor a jobs=1 scan loads the process pool,
+    # and no record needs dataclasses; -S keeps site's imports out
+    import cycloschur
+
+    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
+    heavy = ["multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"]
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", GUARD, src, *heavy], capture_output=True, text=True, check=True
+    )
+    assert done.stdout == "0 [[], []]\n"
 
 
 def test_scan_keeps_no_per_member_cache():
@@ -651,7 +714,7 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
         return core_mp, charges
 
     monkeypatch.setattr(scanning.weights, "read_core", broken)
-    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     assert scan(2, 6, 2, (0, 1), jobs=1).violations == 0
     seen.clear()
     report = scan(2, 6, 2, (0, 1), jobs=2)
@@ -666,7 +729,7 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
     # at most one worker per chunk and at most os.cpu_count() chunks; the
     # pool is the in-process double, so no process is started
-    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cases = [
         (64, 1, 1, 8, []),  # one member, one chunk: no pool
         (64, 2, 3, 64, [count_multipartitions(2, 3)]),  # one worker per member
@@ -698,7 +761,7 @@ def test_scan_reads_each_core_once_per_block_key_per_chunk(monkeypatch, jobs):
 
     for name in ("terminal_state", "read_core"):
         monkeypatch.setattr(weights, name, counting(name))
-    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
@@ -726,7 +789,7 @@ def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, job
         return mp
 
     monkeypatch.setattr(scanning, "Multipartition", counting)
-    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
@@ -748,7 +811,7 @@ def test_scan_cuts_at_every_member_index(monkeypatch):
     # 51 members: with jobs = 51 every chunk holds one member, and the other
     # job counts cut inside and between rank vectors at other offsets; each
     # chunk starts by unranking its first member
-    monkeypatch.setattr(scanning, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
     assert count_multipartitions(3, 4) == 51
     expected = scan(3, 4, 2, (0, 0, 1))
