@@ -11,14 +11,15 @@ while ``specialize_integer`` expands the product into an honest Laurent
 polynomial as an independent oracle.  Under Q_a -> y^(s_a), q -> y every
 factor has integer coefficients and every cyclotomic polynomial is
 monic, so ``LaurentPoly`` keeps integer coefficients only.  The oracle
-expands and divides with two exact kernels for the binomial y^h - 1:
-``times_binomial`` is one shifted subtraction and ``divide_binomial``
-one running sum per residue class mod h.  ``specialize_integer``
-multiplies by a pair factor with ``times_binomial`` and by [h]_q as
-(y^h - 1)/(y - 1).  ``nu_phi`` divides by Phi_e as p*C/(y^e - 1), where
-the cofactor C = (y^e - 1)/Phi_e is the product of the Phi_d with d | e,
-d < e; since C*Phi_e = y^e - 1 and Z[y] is an integral domain, y^e - 1
-divides p*C exactly when Phi_e divides p, with the same quotient.
+expands and divides with exact kernels for the binomial y^h - 1:
+``times_binomial`` is one shifted subtraction, ``divide_binomial`` one
+running sum per residue class mod h, and ``times_q_integer`` multiplies
+by [h]_q = (y^h - 1)/(y - 1) as one running sum and one shifted
+subtraction.  ``nu_phi`` divides by Phi_e = prod_{d | e} (y^d - 1)^mu(e/d)
+with these kernels alone: the d with mu(e/d) = -1 are proper divisors of
+e, so their binomials are prime to Phi_e, and y^e - 1 divides p times
+them exactly when Phi_e divides p; the binomials with mu(e/d) = +1,
+d < e, then divide the quotient exactly.
 
 Roots of unity live in a single ambient cyclic group Z/NZ so that every
 equality test is exact integer arithmetic.  A ``CycloSpec`` records a
@@ -98,7 +99,7 @@ class LaurentPoly:
             return LaurentPoly()
         out = [0] * (len(a) + len(b) - 1)
         width = len(a)
-        # cyclotomic polynomials and their cofactors are sparse: skip the zeros
+        # cyclotomic polynomials are sparse: skip the zeros
         for j, c in enumerate(b):
             if c:
                 out[j : j + width] = map(add, out[j : j + width], map(mul, a, repeat(c)))
@@ -161,6 +162,17 @@ class LaurentPoly:
         # q_0 = -p_0 and the top of the quotient is p's top: both nonzero
         return LaurentPoly._dense(self.low, out)
 
+    def times_q_integer(self, h: int) -> "LaurentPoly":
+        """self * [h]_y for h >= 1: S_k - S_(k-h), S the running sums of self."""
+        if h < 1:
+            raise ValueError("q-integers are defined for h >= 1")
+        if not self.coeffs:
+            return LaurentPoly()
+        out = list(accumulate(self.coeffs + [0] * (h - 1)))
+        out[h:] = map(sub, out[h:], out[:-h])
+        # the ends are self's ends
+        return LaurentPoly._dense(self.low, out)
+
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self / other when it exists in the Laurent ring over
         the integers, by long division from the top; raises ValueError
@@ -189,27 +201,17 @@ class LaurentPoly:
         return LaurentPoly._dense(self.low - other.low, quot)
 
     def __str__(self) -> str:
-        if self.is_zero:
-            return "0"
-        chunks = []
+        text = ""
         for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            exp = self.low + k
-            sign = "-" if c < 0 else "+"
-            mag = abs(c)
-            if exp == 0:
-                body = str(mag)
-            else:
+            c, exp = self.coeffs[k], self.low + k
+            if c:
                 var = "y" if exp == 1 else f"y^{exp}"
-                body = var if mag == 1 else f"{mag}*{var}"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        text = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            text += f" {sign} {body}"
-        return text
+                body = str(abs(c)) if exp == 0 else var if abs(c) == 1 else f"{abs(c)}*{var}"
+                if text:
+                    text += (" - " if c < 0 else " + ") + body
+                else:
+                    text = ("-" if c < 0 else "") + body
+        return text or "0"
 
     def __repr__(self) -> str:
         table = {self.low + k: c for k, c in enumerate(self.coeffs) if c}
@@ -237,25 +239,47 @@ def cyclotomic_poly(e: int) -> LaurentPoly:
 
 
 @lru_cache(maxsize=None)
-def _phi_cofactor(e: int) -> LaurentPoly:
-    """C = (y^e - 1) / Phi_e, the product of Phi_d over d | e, d < e."""
-    return LaurentPoly({e: 1, 0: -1}).exact_divide(cyclotomic_poly(e))
+def _mobius_split(e: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
+    """Phi_e = prod_{d | e} (y^d - 1)^mu(e/d) as the d with mu(e/d) = -1, the
+    d < e with mu(e/d) = +1, and phi(e) = sum mu(e/d) d; mu(e/d) != 0 only
+    for e/d a product of distinct primes of e, found by trial division."""
+    if e < 1:
+        raise ValueError("e must be positive")
+    mobius, rest, p = {e: 1}, e, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            mobius.update({d // p: -mu for d, mu in mobius.items()})
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    up = tuple(d for d, mu in mobius.items() if mu < 0)
+    down = tuple(d for d, mu in mobius.items() if mu > 0 and d < e)
+    return up, down, sum(mu * d for d, mu in mobius.items())
 
 
 def nu_phi(p: LaurentPoly, e: int) -> int:
-    """Multiplicity of the e-th cyclotomic polynomial in p, by repeated
-    exact division: p / Phi_e is p * C / (y^e - 1), C = ``_phi_cofactor(e)``."""
+    """Multiplicity of the e-th cyclotomic polynomial in p, by repeated exact
+    division through its Moebius binomials (see the module notes); it stops,
+    building no binomial, once p's span is below phi(e), the degree of Phi_e."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    # outside the try, so that a bad e raises instead of counting 0
-    cofactor = _phi_cofactor(e)
+    # outside the loop, so that a bad e raises instead of counting 0
+    up, down, degree = _mobius_split(e)
     count = 0
-    while True:
+    while p.span >= degree:
+        for d in up:
+            p = p.times_binomial(d)
         try:
-            p = (p * cofactor).divide_binomial(e)
+            p = p.divide_binomial(e)
         except ValueError:
             return count
+        # exact once y^e - 1 has divided: an inexact one is a fault and raises
+        for d in down:
+            p = p.divide_binomial(d)
         count += 1
+    return count
 
 
 class GenericSchurFactors(NamedTuple):
@@ -315,8 +339,7 @@ def specialize_integer(mp: Multipartition, charges: Sequence[int]) -> LaurentPol
     f = schur_factors(mp)
     poly = LaurentPoly.term(f.q_exponent, f.sign)
     for h in f.q_integers:
-        # [h]_y = (y^h - 1) / (y - 1)
-        poly = poly.times_binomial(h).divide_binomial(1)
+        poly = poly.times_q_integer(h)
     for h, a, b in f.pair_factors:
         ch = h + charges[a] - charges[b]
         if ch == 0:
@@ -406,7 +429,6 @@ class RootOfUnity(_RootFields):
     @property
     def element_order(self) -> int:
         return self.ambient // math.gcd(self.ambient, self.exponent)
-
 
 
 def _common_ambient(roots: Iterable[RootOfUnity], u: RootOfUnity) -> int:

@@ -155,6 +155,16 @@ def test_defect_via_polynomial(capsys):
     assert out.strip() == "8"
 
 
+def test_defect_via_polynomial_large_composite_e(capsys):
+    # Phi_e has degree phi(2000006) = 1000002, far above the span of the
+    # expanded Schur element, so the valuation is 0 without any division
+    code, out, _ = run(
+        capsys,
+        "defect", "3.1|2", "--charge", "0,1", "--e", "2000006", "--via-polynomial",
+    )
+    assert (code, out.strip()) == (0, "0")
+
+
 def test_bad_specialisation_exits_3(capsys):
     code, _, err = run(
         capsys,

@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations_with_replacement
 
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 from cycloschur.abacus import charged_hooks_direct
@@ -18,6 +18,7 @@ from cycloschur.schur import (
     CycloSpec,
     LaurentPoly,
     RootOfUnity,
+    _mobius_split,
     class_multicharge,
     column_tables,
     cyclotomic_poly,
@@ -121,6 +122,76 @@ def test_binomial_kernels_build_q_integers():
         assert ONE.times_binomial(h).divide_binomial(1) == q_integer(h)
 
 
+@given(laurents, st.integers(1, 12))
+@example(LaurentPoly.zero(), 5)
+@example(LaurentPoly({-3: 2, -1: -1, 2: 4}), 4)
+def test_times_q_integer_is_a_product(p, h):
+    assert p.times_q_integer(h) == p * q_integer(h)
+
+
+def test_times_q_integer_rejects_h_below_one():
+    for h in (0, -2):
+        with pytest.raises(ValueError):
+            Y.times_q_integer(h)
+
+
+def _mobius(m):
+    # (-1)^(number of primes) for squarefree m, else 0, by plain trial division
+    sign, p = 1, 2
+    while m > 1:
+        if m % p == 0:
+            m //= p
+            if m % p == 0:
+                return 0
+            sign = -sign
+        p += 1
+    return sign
+
+
+def test_mobius_binomials_rebuild_cyclotomic_polynomials():
+    for e in range(1, 37):
+        divisors = [d for d in range(1, e + 1) if e % d == 0]
+        up = {d for d in divisors if _mobius(e // d) == -1}
+        down = {d for d in divisors if _mobius(e // d) == 1 and d < e}
+        split_up, split_down, degree = _mobius_split(e)
+        assert (set(split_up), set(split_down)) == (up, down), e
+        assert len(split_up) == len(up) and len(split_down) == len(down)
+        assert degree == _totient(e) == cyclotomic_poly(e).span
+        rebuilt = ONE.times_binomial(e)
+        for d in down:
+            rebuilt = rebuilt.times_binomial(d)
+        for d in up:
+            rebuilt = rebuilt.divide_binomial(d)
+        assert rebuilt == cyclotomic_poly(e), e
+    with pytest.raises(ValueError):
+        _mobius_split(0)
+
+
+def _count_exact_divisions(p, e):
+    count = 0
+    while True:
+        try:
+            p = p.exact_divide(cyclotomic_poly(e))
+        except ValueError:
+            return count
+        count += 1
+
+
+@given(
+    laurents.filter(lambda p: not p.is_zero),
+    st.sampled_from([1, 4, 8, 9, 12, 18, 36]) | st.integers(1, 36),
+    st.integers(0, 3),
+    st.lists(st.tuples(st.integers(1, 36), st.integers(1, 2)), max_size=3),
+)
+def test_nu_phi_matches_repeated_exact_division(p, e, k, others):
+    for _ in range(k):
+        p = p * cyclotomic_poly(e)
+    for d, j in others:
+        for _ in range(j):
+            p = p * cyclotomic_poly(d)
+    assert nu_phi(p, e) == _count_exact_divisions(p, e), (p, e)
+
+
 @given(laurents.filter(lambda p: not p.is_zero))
 def test_nu_phi_counts_each_cyclotomic_factor(p):
     for e in range(1, 13):
@@ -168,6 +239,21 @@ def test_nu_phi_examples():
     # a bad e raises rather than reading as multiplicity 0
     with pytest.raises(ValueError):
         nu_phi(ONE, 0)
+
+
+def test_nu_phi_builds_no_binomial_when_phi_e_is_wider(monkeypatch):
+    def refuse(self, h):
+        raise AssertionError(f"built y^{h} - 1")
+
+    p = cyclotomic_poly(7) * cyclotomic_poly(9)  # span 12
+    for name in ("times_binomial", "divide_binomial"):
+        monkeypatch.setattr(LaurentPoly, name, refuse)
+    # phi(e) is 1000002, 1000002, 24 and 16: all wider than p
+    for e in (2000006, 1000003, 35, 17):
+        assert nu_phi(p, e) == 0
+    # phi(13) = 12 fits, so that count divides
+    with pytest.raises(AssertionError):
+        nu_phi(p, 13)
 
 
 def test_q_integer():
