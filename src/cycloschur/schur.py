@@ -11,15 +11,16 @@ while ``specialize_integer`` expands the product into an honest Laurent
 polynomial as an independent oracle.  Under Q_a -> y^(s_a), q -> y every
 factor has integer coefficients and every cyclotomic polynomial is
 monic, so ``LaurentPoly`` keeps integer coefficients only.  The oracle
-expands and divides with exact kernels for the binomial y^h - 1:
-``times_binomial`` is one shifted subtraction, ``divide_binomial`` one
-running sum per residue class mod h, and ``times_q_integer`` multiplies
-by [h]_q = (y^h - 1)/(y - 1) as one running sum and one shifted
-subtraction.  ``nu_phi`` divides by Phi_e = prod_{d | e} (y^d - 1)^mu(e/d)
-with these kernels alone: the d with mu(e/d) = -1 are proper divisors of
-e, so their binomials are prime to Phi_e, and y^e - 1 divides p times
-them exactly when Phi_e divides p; the binomials with mu(e/d) = +1,
-d < e, then divide the quotient exactly.
+works on one int, the value at B = 2^k, 64 | k, whose balanced base-B
+digits are the coefficients while these are below B/2 in size.
+``specialize_integer`` multiplies by y^h - 1 as x = (x << k*h) - x,
+divides by (B - 1)^n for the q-integers, and takes k from ||P||_1 <=
+2^(#pairs) prod h < 2^(k-1), each h rounded up to a power of 2.  ``nu_phi``
+counts the exact divisions J of P(B) by Phi_e(B) = prod_{d | e} (B^d -
+1)^mu(e/d), J >= the multiplicity, and accepts J once the last quotient
+Q' has ||Q'||_1 2^(J #(mu=+1)) + ||P||_1 2^(J #(mu=-1)) < 2^(k-1): then
+Q' prod_{mu=+1} (y^d - 1)^J and P prod_{mu=-1} (y^d - 1)^J agree at B
+with coefficients below B/2, so they are equal.  Else k grows by 64.
 
 Roots of unity live in a single ambient cyclic group Z/NZ so that every
 equality test is exact integer arithmetic.  A ``CycloSpec`` records a
@@ -37,9 +38,11 @@ a bad specialisation.
 from __future__ import annotations
 
 import math
+import sys
+from array import array
 from functools import lru_cache
-from itertools import accumulate, repeat
-from operator import add, getitem, index, mul, neg, sub
+from itertools import count, repeat
+from operator import add, getitem, index, lshift, mul, or_, sub
 from typing import Iterable, NamedTuple, Sequence
 
 from .partitions import Multipartition, column_lengths, n_invariant
@@ -123,56 +126,6 @@ class LaurentPoly:
         """max_exp - min_exp; 0 for monomials."""
         return self.max_exp - self.min_exp
 
-    def times_binomial(self, h: int) -> "LaurentPoly":
-        """self * (y^h - 1) for h != 0, as one shifted subtraction."""
-        if h == 0:
-            raise ValueError("y^0 - 1 is the zero polynomial")
-        c = self.coeffs
-        if not c:
-            return LaurentPoly()
-        if h < 0:
-            # y^h sits below 1: self * y^h first, then -self from offset -h
-            out = c + [0] * -h
-            out[-h:] = map(sub, out[-h:], c)
-            return LaurentPoly._dense(self.low + h, out)
-        out = [0] * h + c
-        out[: len(c)] = map(sub, out[: len(c)], c)
-        return LaurentPoly._dense(self.low, out)
-
-    def divide_binomial(self, h: int) -> "LaurentPoly":
-        """Quotient self / (y^h - 1) for h >= 1; raises ValueError when it
-        is not exact.  Writing self = sum p_k y^(low+k), the quotient has
-        q_k = -(p_k + p_(k-h) + p_(k-2h) + ...), one running sum per
-        residue class of k mod h, and the division is exact when the top
-        h running sums vanish."""
-        if h < 1:
-            raise ValueError("y^h - 1 is divided out for h >= 1 only")
-        c = self.coeffs
-        if not c:
-            return LaurentPoly()
-        cut = len(c) - h
-        if cut < 1:
-            raise ValueError("inexact division")
-        out = [0] * len(c)
-        for r in range(h):
-            out[r::h] = accumulate(map(neg, c[r::h]))
-        if any(out[cut:]):
-            raise ValueError("inexact division")
-        del out[cut:]
-        # q_0 = -p_0 and the top of the quotient is p's top: both nonzero
-        return LaurentPoly._dense(self.low, out)
-
-    def times_q_integer(self, h: int) -> "LaurentPoly":
-        """self * [h]_y for h >= 1: S_k - S_(k-h), S the running sums of self."""
-        if h < 1:
-            raise ValueError("q-integers are defined for h >= 1")
-        if not self.coeffs:
-            return LaurentPoly()
-        out = list(accumulate(self.coeffs + [0] * (h - 1)))
-        out[h:] = map(sub, out[h:], out[:-h])
-        # the ends are self's ends
-        return LaurentPoly._dense(self.low, out)
-
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self / other when it exists in the Laurent ring over
         the integers, by long division from the top; raises ValueError
@@ -225,16 +178,32 @@ def q_integer(h: int) -> LaurentPoly:
     return LaurentPoly({k: 1 for k in range(h)})
 
 
+def _prime_divisors(e: int) -> list[int]:
+    """The distinct primes of e >= 1 in ascending order, by trial division."""
+    primes, rest, p = [], e, 2
+    while rest > 1:
+        if p * p > rest:
+            p = rest
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    return primes
+
+
 @lru_cache(maxsize=None)
 def cyclotomic_poly(e: int) -> LaurentPoly:
-    """The e-th cyclotomic polynomial over the rationals, computed as
-    (y^e - 1) / prod_{d | e, d < e} Phi_d."""
+    """The e-th cyclotomic polynomial over the rationals, F_r(y) = Phi_r(y^s)
+    for r the product of the distinct primes p of e and s = e/r, built from
+    F_1 = y^s - 1 and F_pm(y) = F_m(y^p) / F_m(y), taking p in ascending order."""
     if e < 1:
         raise ValueError("e must be positive")
-    result = LaurentPoly({e: 1, 0: -1})
-    for d in range(1, e):
-        if e % d == 0:
-            result = result.exact_divide(cyclotomic_poly(d))
+    primes = _prime_divisors(e)
+    result = LaurentPoly({e // math.prod(primes): 1, 0: -1})
+    for p in primes:
+        spread = LaurentPoly({p * (result.low + i): c for i, c in enumerate(result.coeffs)})
+        result = spread.exact_divide(result)
     return result
 
 
@@ -242,44 +211,71 @@ def cyclotomic_poly(e: int) -> LaurentPoly:
 def _mobius_split(e: int) -> tuple[tuple[int, ...], tuple[int, ...], int]:
     """Phi_e = prod_{d | e} (y^d - 1)^mu(e/d) as the d with mu(e/d) = -1, the
     d < e with mu(e/d) = +1, and phi(e) = sum mu(e/d) d; mu(e/d) != 0 only
-    for e/d a product of distinct primes of e, found by trial division."""
+    for e/d a product of distinct primes of e."""
     if e < 1:
         raise ValueError("e must be positive")
-    mobius, rest, p = {e: 1}, e, 2
-    while rest > 1:
-        if p * p > rest:
-            p = rest
-        if rest % p == 0:
-            mobius.update({d // p: -mu for d, mu in mobius.items()})
-            while rest % p == 0:
-                rest //= p
-        p += 1
+    mobius = {e: 1}
+    for p in _prime_divisors(e):
+        mobius.update({d // p: -mu for d, mu in mobius.items()})
     up = tuple(d for d, mu in mobius.items() if mu < 0)
     down = tuple(d for d, mu in mobius.items() if mu > 0 and d < e)
     return up, down, sum(mu * d for d, mu in mobius.items())
 
 
+@lru_cache(maxsize=None)
+def _phi_at(e: int, k: int) -> int:
+    """Phi_e(2^k), from its Moebius binomials."""
+    up, down, _ = _mobius_split(e)
+    top, bottom = [math.prod((1 << k * d) - 1 for d in ds) for ds in ((e, *down), up)]
+    return top // bottom
+
+
+# array("Q", n.to_bytes(size, sys.byteorder))[::_ORDER] lists n's words lowest first
+_ORDER, _MASK = (1 if sys.byteorder == "little" else -1), (1 << 64) - 1
+
+
+def _pack(coeffs: Sequence[int], words: int) -> int:
+    """sum c_i B^i at B = 2^(64 * words), for -B/2 <= c_i < B/2: the words of
+    each c_i mod B, then B/2 added to each digit by flipping its top bit."""
+    raw = array("Q", bytes(8 * words * len(coeffs)))
+    for j in range(words):
+        raw[j::words] = array("Q", [c >> 64 * j & _MASK for c in coeffs])
+    tops = int.from_bytes((bytes(8 * words - 1) + b"\x80") * len(coeffs), "little")
+    return (int.from_bytes(raw[::_ORDER].tobytes(), sys.byteorder) ^ tops) - tops
+
+
+def _unpack(x: int, words: int, length: int) -> list[int]:
+    """The `length` balanced base-B digits of x, -B/2 <= c_i < B/2 with
+    B = 2^(64 * words), lowest first; OverflowError when x has none."""
+    tops = int.from_bytes((bytes(8 * words - 1) + b"\x80") * length, "little")  # B/2 each
+    raw = ((x + tops) ^ tops).to_bytes(8 * words * length, sys.byteorder)
+    digits = array("q", raw)[::_ORDER][words - 1 :: words].tolist()
+    low = array("Q", raw)[::_ORDER]
+    for j in range(words - 2, -1, -1):
+        digits = list(map(or_, map(lshift, digits, repeat(64)), low[j::words]))
+    return digits
+
+
 def nu_phi(p: LaurentPoly, e: int) -> int:
-    """Multiplicity of the e-th cyclotomic polynomial in p, by repeated exact
-    division through its Moebius binomials (see the module notes); it stops,
-    building no binomial, once p's span is below phi(e), the degree of Phi_e."""
+    """Multiplicity of the e-th cyclotomic polynomial in p, as in the module
+    notes; 0, building no Phi_e(B), when p's span is below phi(e) = deg Phi_e."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    # outside the loop, so that a bad e raises instead of counting 0
+    # before the early return, so that a bad e raises instead of counting 0
     up, down, degree = _mobius_split(e)
-    count = 0
-    while p.span >= degree:
-        for d in up:
-            p = p.times_binomial(d)
+    if p.span < degree:
+        return 0
+    norm = sum(map(abs, p.coeffs))
+    for words in count(norm.bit_length() // 64 + 1):
+        phi, x, times = _phi_at(e, 64 * words), _pack(p.coeffs, words), 0
+        while times < p.span // degree and not x % phi:
+            x, times = x // phi, times + 1
         try:
-            p = p.divide_binomial(e)
-        except ValueError:
-            return count
-        # exact once y^e - 1 has divided: an inexact one is a fault and raises
-        for d in down:
-            p = p.divide_binomial(d)
-        count += 1
-    return count
+            left = sum(map(abs, _unpack(x, words, p.span - times * degree + 1)))
+        except OverflowError:
+            continue  # x has no such digits: the count overshot
+        if (left << times * (len(down) + 1)) + (norm << times * len(up)) < 1 << 64 * words - 1:
+            return times
 
 
 class GenericSchurFactors(NamedTuple):
@@ -337,17 +333,21 @@ def specialize_integer(mp: Multipartition, charges: Sequence[int]) -> LaurentPol
     if len(charges) != mp.level:
         raise ValueError("multicharge length must equal the level")
     f = schur_factors(mp)
-    poly = LaurentPoly.term(f.q_exponent, f.sign)
-    for h in f.q_integers:
-        poly = poly.times_q_integer(h)
+    sign, low, hooks = f.sign, f.q_exponent, list(f.q_integers)
     for h, a, b in f.pair_factors:
         ch = h + charges[a] - charges[b]
         if ch == 0:
-            raise BadSpecialisationError(
-                f"zero charged hook between components {a} and {b}"
-            )
-        poly = poly.times_binomial(ch)
-    return poly
+            raise BadSpecialisationError(f"zero charged hook between components {a} and {b}")
+        if ch < 0:  # y^ch - 1 = -y^ch (y^-ch - 1)
+            sign, low, ch = -sign, low + ch, -ch
+        hooks.append(ch)
+    # ||P||_1 <= prod h * 2^#pairs <= 2^(sum of bit lengths of h + #pairs) < 2^(k-1)
+    words = (len(f.pair_factors) + sum(h.bit_length() for h in f.q_integers) + 1) // 64 + 1
+    x = sign
+    for h in hooks:
+        x = (x << 64 * words * h) - x
+    x //= ((1 << 64 * words) - 1) ** len(f.q_integers)
+    return LaurentPoly._dense(low, _unpack(x, words, sum(hooks) - len(f.q_integers) + 1))
 
 
 def column_tables(p, s: int, e: int, width: int) -> tuple[list, list[int]]:

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
 
@@ -7,11 +8,13 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from cycloschur import schur
 from cycloschur.abacus import charged_hooks_direct
 from cycloschur.partitions import (
     Multipartition,
     enumerate_multipartitions,
     parse_multipartition,
+    partitions_of,
 )
 from cycloschur.schur import (
     BadSpecialisationError,
@@ -19,6 +22,8 @@ from cycloschur.schur import (
     LaurentPoly,
     RootOfUnity,
     _mobius_split,
+    _pack,
+    _unpack,
     class_multicharge,
     column_tables,
     cyclotomic_poly,
@@ -32,7 +37,6 @@ from cycloschur.schur import (
     specialize_integer,
 )
 
-Y = LaurentPoly.term(1)
 ONE = LaurentPoly.one()
 
 
@@ -81,58 +85,31 @@ def test_laurent_product_divides_back(p, q):
     assert (p * q).exact_divide(q) == p
 
 
-@given(laurents, st.integers(-6, 6).filter(bool))
-def test_times_binomial_is_a_product(p, h):
-    assert p.times_binomial(h) == p * LaurentPoly({h: 1, 0: -1})
+def _balanced(words):
+    half = 1 << 64 * words - 1
+    return st.lists(st.integers(-half, half - 1), min_size=1, max_size=6)
 
 
-@given(laurents, st.integers(1, 6))
-def test_divide_binomial_undoes_times_binomial(p, h):
-    assert p.times_binomial(h).divide_binomial(h) == p
+@given(st.integers(1, 3).flatmap(lambda words: st.tuples(st.just(words), _balanced(words))))
+@example((1, [-(1 << 63), (1 << 63) - 1, -1, 0, 1]))
+@example((2, [(1 << 127) - 1, -(1 << 127), -(1 << 64), 1 << 64, (1 << 63) - 1, 1 << 63]))
+def test_pack_reads_back_as_balanced_digits(case):
+    words, coeffs = case
+    x = _pack(coeffs, words)
+    assert x == sum(c << 64 * words * i for i, c in enumerate(coeffs))
+    assert _unpack(x, words, len(coeffs)) == coeffs
 
 
-@given(laurents)
-def test_divide_binomial_rejects_a_nonzero_value_at_one(p):
-    if sum(p.coeffs) == 0:
-        return
-    with pytest.raises(ValueError):
-        p.divide_binomial(1)
-
-
-def test_divide_binomial_rejects_inexact_quotients():
-    # y^2 - 1 is not divisible by y^3 - 1, and y - 1 is not divisible by y^2 - 1
-    with pytest.raises(ValueError):
-        LaurentPoly({2: 1, 0: -1}).divide_binomial(3)
-    with pytest.raises(ValueError):
-        LaurentPoly({1: 1, 0: -1}).divide_binomial(2)
-    with pytest.raises(ValueError):
-        cyclotomic_poly(6).divide_binomial(6)
-    assert LaurentPoly.zero().divide_binomial(4).is_zero
-
-
-def test_binomial_kernels_reject_h_zero():
-    with pytest.raises(ValueError):
-        Y.times_binomial(0)
-    with pytest.raises(ValueError):
-        LaurentPoly({1: 1, 0: -1}).divide_binomial(0)
-
-
-def test_binomial_kernels_build_q_integers():
-    for h in range(1, 31):
-        assert ONE.times_binomial(h).divide_binomial(1) == q_integer(h)
-
-
-@given(laurents, st.integers(1, 12))
-@example(LaurentPoly.zero(), 5)
-@example(LaurentPoly({-3: 2, -1: -1, 2: 4}), 4)
-def test_times_q_integer_is_a_product(p, h):
-    assert p.times_q_integer(h) == p * q_integer(h)
-
-
-def test_times_q_integer_rejects_h_below_one():
-    for h in (0, -2):
-        with pytest.raises(ValueError):
-            Y.times_q_integer(h)
+def test_unpack_refuses_a_number_without_balanced_digits():
+    for words in (1, 2):
+        half = 1 << 64 * words - 1
+        # a top digit of B/2 or below -B/2, or more digits than asked for
+        cases = ((half, 1), (-half - 1, 1), (half << 64 * words, 2), (1 << 64 * words * 3, 3))
+        for x, length in cases:
+            with pytest.raises(OverflowError):
+                _unpack(x, words, length)
+        assert _unpack(half - 1, words, 1) == [half - 1]
+        assert _unpack(half, words, 2) == [-half, 1]
 
 
 def _mobius(m):
@@ -157,11 +134,11 @@ def test_mobius_binomials_rebuild_cyclotomic_polynomials():
         assert (set(split_up), set(split_down)) == (up, down), e
         assert len(split_up) == len(up) and len(split_down) == len(down)
         assert degree == _totient(e) == cyclotomic_poly(e).span
-        rebuilt = ONE.times_binomial(e)
+        rebuilt = LaurentPoly({e: 1, 0: -1})
         for d in down:
-            rebuilt = rebuilt.times_binomial(d)
+            rebuilt = rebuilt * LaurentPoly({d: 1, 0: -1})
         for d in up:
-            rebuilt = rebuilt.divide_binomial(d)
+            rebuilt = rebuilt.exact_divide(LaurentPoly({d: 1, 0: -1}))
         assert rebuilt == cyclotomic_poly(e), e
     with pytest.raises(ValueError):
         _mobius_split(0)
@@ -220,13 +197,22 @@ def _totient(e):
 
 
 def test_cyclotomic_degree_and_product():
-    for m in range(1, 25):
+    for m in range(1, 61):
         assert cyclotomic_poly(m).span == _totient(m)
         prod = ONE
         for d in range(1, m + 1):
             if m % d == 0:
                 prod = prod * cyclotomic_poly(d)
         assert prod == LaurentPoly({m: 1, 0: -1})
+
+
+def test_cyclotomic_poly_of_a_composite_with_a_large_prime():
+    # Phi_2p(y) = Phi_p(-y); dividing y^e - 1 by every Phi_d, d | e, d < e
+    # took longer than a minute at this e
+    start = time.perf_counter()
+    phi = cyclotomic_poly(2 * 100003)
+    assert time.perf_counter() - start < 10
+    assert phi == LaurentPoly({k: (-1) ** k for k in range(100003)})
 
 
 def test_nu_phi_examples():
@@ -242,12 +228,11 @@ def test_nu_phi_examples():
 
 
 def test_nu_phi_builds_no_binomial_when_phi_e_is_wider(monkeypatch):
-    def refuse(self, h):
-        raise AssertionError(f"built y^{h} - 1")
+    def refuse(e, k):
+        raise AssertionError(f"built Phi_{e}(2^{k})")
 
     p = cyclotomic_poly(7) * cyclotomic_poly(9)  # span 12
-    for name in ("times_binomial", "divide_binomial"):
-        monkeypatch.setattr(LaurentPoly, name, refuse)
+    monkeypatch.setattr(schur, "_phi_at", refuse)
     # phi(e) is 1000002, 1000002, 24 and 16: all wider than p
     for e in (2000006, 1000003, 35, 17):
         assert nu_phi(p, e) == 0
@@ -256,11 +241,48 @@ def test_nu_phi_builds_no_binomial_when_phi_e_is_wider(monkeypatch):
         nu_phi(p, 13)
 
 
+def test_nu_phi_widens_the_base_until_the_quotient_reads_back(monkeypatch):
+    bases = []
+    build = schur._phi_at
+    monkeypatch.setattr(schur, "_phi_at", lambda e, k: bases.append(k) or build(e, k))
+    a = (2**64 - 1) // 5
+    cases = [
+        # the quotient [1000]^8 has 1-norm 1000^8 > 2^79: it does not fit one word
+        (LaurentPoly({1000: 1, 0: -1}), 8, 8),
+        # [128]^8 reads back from one word, but (y - 1)^8 may grow it 2^8-fold
+        (LaurentPoly({128: 1, 0: -1}), 8, 8),
+        # at B = 2^64 the quotient a [5](B) has 5a = B - 1 and divides once more
+        (LaurentPoly({5: a, 0: -a}), 1, 1),
+    ]
+    for factor, power, nu in cases:
+        del bases[:]
+        p = ONE
+        for _ in range(power):
+            p = p * factor
+        assert nu_phi(p, 1) == nu, factor
+        assert bases == [64, 128], factor
+    # a quotient without balanced digits at 2^64 widens the base as well
+    unpack = schur._unpack
+
+    def overflow_at_one_word(x, words, length):
+        if words == 1:
+            raise OverflowError
+        return unpack(x, words, length)
+
+    monkeypatch.setattr(schur, "_unpack", overflow_at_one_word)
+    del bases[:]
+    assert nu_phi(cyclotomic_poly(3) * cyclotomic_poly(3), 3) == 2
+    assert bases == [64, 128]
+
+
 def test_q_integer():
     assert q_integer(1) == ONE
     assert q_integer(3) == LaurentPoly({0: 1, 1: 1, 2: 1})
-    with pytest.raises(ValueError):
-        q_integer(0)
+    for h in range(1, 31):
+        assert LaurentPoly({h: 1, 0: -1}).exact_divide(LaurentPoly({1: 1, 0: -1})) == q_integer(h)
+    for h in (0, -2):
+        with pytest.raises(ValueError):
+            q_integer(h)
 
 
 def test_schur_factors_examples():
@@ -301,6 +323,59 @@ def test_specialize_integer_examples():
     )
     with pytest.raises(BadSpecialisationError):
         specialize_integer(parse_multipartition("1|0"), (0, 0))
+
+
+def _random_multipartition(rng, level, rank):
+    sizes = [0] * level
+    for _ in range(rank):
+        sizes[rng.randrange(level)] += 1
+    return Multipartition([rng.choice(partitions_of(size)) for size in sizes])
+
+
+def _reference_expansion(mp, charges):
+    f = schur_factors(mp)
+    poly = LaurentPoly.term(f.q_exponent, f.sign)
+    for h in f.q_integers:
+        poly = poly * q_integer(h)
+    for h, a, b in f.pair_factors:
+        poly = poly * LaurentPoly({h + charges[a] - charges[b]: 1, 0: -1})
+    return poly
+
+
+def test_packed_expansion_matches_reference_product(monkeypatch):
+    widths = []
+    unpack = schur._unpack
+    monkeypatch.setattr(
+        schur, "_unpack", lambda x, words, length: widths.append(words) or unpack(x, words, length)
+    )
+    wide = parse_multipartition("3.2.1|2.2|3.1|1.1"), (0, 5, 11, 17)
+    f = schur_factors(wide[0])
+    # the a-priori bound 2^(#pairs) prod h, each h rounded up to a power of
+    # two, needs 76 bits, so the base is two words wide
+    bound = 1 << len(f.pair_factors) + sum(h.bit_length() for h in f.q_integers)
+    assert bound.bit_length() == 76
+    cases = [(Multipartition([()] * level), tuple(range(level))) for level in (1, 2, 4)]
+    cases.append(wide)
+    rng = random.Random(1806)
+    for _ in range(120):
+        level = rng.randint(1, 4)
+        mp = _random_multipartition(rng, level, rng.randint(0, 16))
+        cases.append((mp, tuple(rng.randint(-12, 12) for _ in range(level))))
+    negative = zero = 0
+    for mp, s in cases:
+        hooks = [(h + s[a] - s[b], a, b) for h, a, b in schur_factors(mp).pair_factors]
+        zeros = [(a, b) for ch, a, b in hooks if ch == 0]
+        if zeros:
+            zero += 1
+            message = "^zero charged hook between components %d and %d$" % zeros[0]
+            with pytest.raises(BadSpecialisationError, match=message):
+                specialize_integer(mp, s)
+            continue
+        negative += any(ch < 0 for ch, _, _ in hooks)
+        assert specialize_integer(mp, s) == _reference_expansion(mp, s), (mp, s)
+        if (mp, s) == wide:
+            assert widths[-1] == 2
+    assert negative >= 20 and zero >= 20 and set(widths) == {1, 2}, (negative, zero, widths)
 
 
 def test_defect_integer_known_values():
