@@ -278,11 +278,65 @@ def test_nu_phi_widens_the_base_until_the_quotient_reads_back(monkeypatch):
 def test_q_integer():
     assert q_integer(1) == ONE
     assert q_integer(3) == LaurentPoly({0: 1, 1: 1, 2: 1})
+    with pytest.raises(ValueError):
+        q_integer(0)
+
+
+def test_binomial_kernels_build_q_integers():
+    y_minus = LaurentPoly({1: 1, 0: -1})
+    row = ONE
     for h in range(1, 31):
-        assert LaurentPoly({h: 1, 0: -1}).exact_divide(LaurentPoly({1: 1, 0: -1})) == q_integer(h)
+        assert LaurentPoly({h: 1, 0: -1}).exact_divide(y_minus) == q_integer(h)
+        # the packed route divides (y^h - 1) by (y - 1) for the last box of the row (h)
+        next_row = specialize_integer(Multipartition([(h,)]), (0,))
+        assert next_row == row * q_integer(h), h
+        row = next_row
+
+
+@given(st.integers(0, 12).flatmap(lambda n: st.sampled_from(partitions_of(n))))
+@example(partitions_of(0)[0])
+@example(partitions_of(12)[0])
+def test_times_q_integer_is_a_product(lam):
+    f = schur_factors(Multipartition([lam]))
+    expected = LaurentPoly.term(f.q_exponent, f.sign)
+    for h in f.q_integers:
+        expected = expected * q_integer(h)
+    assert specialize_integer(Multipartition([lam]), (0,)) == expected
+
+
+def test_times_q_integer_rejects_h_below_one():
     for h in (0, -2):
         with pytest.raises(ValueError):
             q_integer(h)
+
+
+@given(st.integers(0, 2**32), st.integers(-12, 12))
+@example(0, 0)
+def test_times_binomial_is_a_product(seed, c):
+    # an empty last component with charge c multiplies the Schur element by
+    # (-1)^n and by y^(lam_i - i - j + 1 + s_a - c) - 1 for each box (i, j)
+    # of each component a, negative exponents included
+    rng = random.Random(seed)
+    level = rng.randint(1, 3)
+    mp = _random_multipartition(rng, level, rng.randint(0, 8))
+    charges = tuple(40 * a for a in range(level))
+    c += 40 * rng.randrange(level)
+    wider = Multipartition(list(mp) + [()])
+    hooks = [
+        row - i - j + 1 + charges[a] - c
+        for a, comp in enumerate(mp)
+        for i, row in enumerate(comp, start=1)
+        for j in range(1, row + 1)
+    ]
+    if 0 in hooks:
+        with pytest.raises(BadSpecialisationError):
+            specialize_integer(wider, charges + (c,))
+        return
+    shift = schur_factors(wider).q_exponent - schur_factors(mp).q_exponent
+    expected = specialize_integer(mp, charges) * LaurentPoly.term(shift, (-1) ** mp.rank)
+    for h in hooks:
+        expected = expected * LaurentPoly({h: 1, 0: -1})
+    assert specialize_integer(wider, charges + (c,)) == expected
 
 
 def test_schur_factors_examples():
