@@ -251,6 +251,8 @@ def _cmd_scan(args) -> int:
     charges = _charges_for(args, args.l)
     _check_packages(args.l, args.p)
     paths = [path for path in (args.csv, args.json) if path is not None]
+    if len(paths) == 2 and os.path.realpath(args.csv) == os.path.realpath(args.json):
+        raise ValueError("--csv and --json name the same file")
     created = [path for path in paths if not os.path.exists(path)]
     try:
         for path in paths:

@@ -1,35 +1,33 @@
 """The exhaustive scan and its report.
 
 The scan enumerates all multipartitions of a given level and rank,
-groups them by residue vector (the proxy block key) and computes four
-routes per member: the weight from residues, the weight from the bead
-reduction, the defect read off the Schur factors and the divisible-hook
-count.  Each member leaves its signature, those four values with its
-block's core and core multicharge and its own bead class totals, in its
-block, and one rule decides every block: it is a violation if its
-members leave more than one signature, if the four routes of its
-signature differ, or if another block has the same core and core
+groups them by residue vector (the proxy block key) and checks four
+routes to the weight of each block: the weight from residues, the
+weight from the bead reduction, the defect read off the Schur factors
+and the divisible-hook count.  The first two, the core and its charges
+depend only on the key (see ``weights.class_totals`` and
+``weights.start_potential``), so they are computed once per key, after
+the enumeration.  Each member leaves its signature, its defect and
+divisible-hook count, in its block, and one rule decides every block:
+it is a violation if its members leave more than one signature, if the
+four routes differ, or if another block has the same core and core
 multicharge.  Each worker builds, once per scan, an entry for every
 (partition, charge) it meets (text, residue counts, the divisible-hook
 table of ``abacus.hook_table``, the column tables of
-``schur.defect_integer``, the class summary of ``weights.bead_classes``
-and the component's own pair term of both routes; no beta-numbers are
-kept).  It walks each rank vector of ``rank_vectors`` as nested loops,
-the leftmost component slowest as in ``enumerate_multipartitions``, and
-each level carries the prefix sums of the components before it: text,
-residue vector, class totals, start potential, defect and hook count.
-A member adds only its last component: the cached pair terms and, per
-route, two cross terms with each earlier component.  The residue
-weight, the core, its charges and the terminal potential of the
-reduction depend only on the block key, so a worker computes them once,
-from the class totals of the first member of a block that it meets,
-and runs that member through the member-level routes
-(``schur.defect_integer`` and ``abacus.sum_hook_tables``) as a second
-signature; a member whose totals or sums differ leaves a second
-signature.  A chunk of the enumeration starts by unranking its first
-member from the partition numbers.  The partial blocks are merged in
-enumeration order, so the output is byte-identical for any worker
-count.
+``schur.defect_integer`` and the component's own pair term of both
+member routes; no beta-numbers are kept).  It walks each rank vector of
+``rank_vectors`` as nested loops, the leftmost component slowest as in
+``enumerate_multipartitions``, and each level carries the prefix sums
+of the components before it: text, residue vector, defect and hook
+count.  A member adds only its last component: the cached pair terms
+and, per route, two cross terms with each earlier component.  The first
+member of a block that a worker meets is also run through the
+member-level routes (``schur.defect_integer`` and
+``abacus.sum_hook_tables``) as a second signature, so a fault of the
+nested sums leaves two.  A chunk of the enumeration starts by unranking
+its first member from the partition numbers.  The partial blocks are
+merged in enumeration order, so the output is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -63,11 +61,12 @@ def _fields_from_json(cls, obj: dict) -> dict:
 
 
 class BlockReport(NamedTuple):
-    """One proxy block: key, members in enumeration order, and the weight,
-    defect, core and core charges of its first member.  ``violation`` is
-    set when its members disagree on any of these or on the four defect
-    computations, or when another block of the scan has the same core
-    and core charges."""
+    """One proxy block: key, members in enumeration order, the residue
+    weight, the defect of its first member, and the core and core charges
+    of its key.  ``violation`` is set when its members disagree on the
+    defect or the divisible-hook count, when the four weight routes
+    disagree, or when another block of the scan has the same core and
+    core charges."""
 
     key: tuple[int, ...]
     members: tuple[str, ...]
@@ -142,7 +141,6 @@ class _Entry(NamedTuple):
     part: Partition
     text: str
     counts: tuple  # weights.residue_counts
-    summary: tuple  # weights.bead_classes
     hooks: tuple  # abacus.hook_table over the window
     tables: tuple  # schur.column_tables
     defect: int  # the pair (c, c) of schur.defect_integer
@@ -169,7 +167,6 @@ def _component(p, s: int, e: int, m: int, width: int) -> _Entry:
         p,
         format_partition(p),
         weights.residue_counts(p, s, e),
-        weights.bead_classes(beta, e),
         hooks,
         tables,
         sum(map(getitem, *tables)),
@@ -188,10 +185,9 @@ class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
     ``parts`` holds one entry per distinct (partition, charge) pair.
-    ``blocks`` maps a residue key to (members, signatures, residue weight,
-    core text, core charges, terminal potential); the signatures dict
-    keeps each distinct member signature once, in order of first
-    appearance."""
+    ``blocks`` maps a residue key to (members, signatures); the signatures
+    dict keeps each distinct (defect, hook count) pair once, in order of
+    first appearance."""
 
     def __init__(self, l: int, n: int, e: int, charges: tuple, m: int):
         self.l, self.n, self.e, self.charges, self.m = l, n, e, charges, m
@@ -201,8 +197,8 @@ class _Chunk:
     def run(self, start: int, stop: int) -> dict:
         """Walk the members start..stop-1 in enumeration order: skip whole
         rank vectors by their member counts, then clip each level."""
-        l, e = self.l, self.e
-        zeros = (0,) * e
+        l = self.l
+        zeros = (0,) * self.e
         offset = 0
         for ranks in rank_vectors(self.n, l):
             counts = [len(partitions_of(k)) for k in ranks]
@@ -215,7 +211,7 @@ class _Chunk:
                     for k, s in zip(ranks, self.charges)
                 ]
                 strides = [prod(counts[c + 1 :]) for c in range(l)]
-                self.walk(cols, strides, 0, lo, hi, "", zeros, zeros, 0, 0, 0, ())
+                self.walk(cols, strides, 0, lo, hi, "", zeros, 0, 0, ())
             if offset >= stop:
                 break
         return self.blocks
@@ -226,30 +222,21 @@ class _Chunk:
             entry = self.parts[p, s] = _component(p, s, self.e, self.m, self.n)
         return entry
 
-    def open_block(self, key: tuple, totals: tuple, entries: tuple) -> tuple:
-        """A new block from the first member the chunk meets, and that
-        member's defect and hook count by the member-level routes."""
-        l, e, m, charges = self.l, self.e, self.m, self.charges
-        packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
-        core_mp, core_charges = weights.read_core(1 - m, packed, l)
+    def open_block(self, key: tuple, signature: tuple, entries: tuple) -> tuple:
+        """A new block from the first member the chunk meets, with that
+        member's signature and, as a second one, its defect and hook count
+        by the member-level routes."""
         mp = Multipartition([entry.part for entry in entries])
         checked = (
-            schur.defect_integer(mp, charges, e, tables=[entry.tables for entry in entries]),
+            schur.defect_integer(
+                mp, self.charges, self.e, tables=[entry.tables for entry in entries]
+            ),
             abacus.sum_hook_tables([entry.hooks for entry in entries]),
         )
-        block = self.blocks[key] = (
-            [],
-            {},
-            weights.residue_weight(key, charges),
-            format_multipartition(core_mp),
-            core_charges,
-            terminal,
-        )
-        return block, checked
+        block = self.blocks[key] = ([], {signature: None, checked: None})
+        return block
 
-    def walk(
-        self, cols, strides, c, lo, hi, text, key, totals, potential, defect, hook_count, chosen
-    ):
+    def walk(self, cols, strides, c, lo, hi, text, key, defect, hook_count, chosen):
         """The members lo..hi-1 below the entries chosen for the components
         before c, whose prefix sums are the other arguments.  Component c
         adds its own pair terms and, with each chosen component a, the
@@ -257,14 +244,14 @@ class _Chunk:
         of the other, and the beads of a against Q of c and those of c
         against P of a."""
         entries, stride, last = cols[c], strides[c], len(cols) - 1
-        l, e, blocks = self.l, self.e, self.blocks
+        blocks = self.blocks
         for i in range(lo // stride, (hi - 1) // stride + 1):
             entry = entries[i]
-            (_, t, counts, summary, _, _, d, h,
+            (_, t, counts, _, _, d, h,
              gap_c, above_c, _, _, q_sums_c, q_c, rows_c, shifts_c) = entry
             d += defect
             h += hook_count
-            for (_, _, _, _, _, _, _, _,
+            for (_, _, _, _, _, _, _,
                  gap_a, above_a, p_sums_a, p_a, _, _, rows_a, shifts_a) in chosen:
                 d += sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
                 h += (
@@ -272,24 +259,15 @@ class _Chunk:
                     + p_sums_a[gap_c] + sum(map(p_a, above_c))
                 )
             k = tuple(map(add, key, counts))
-            tot = tuple(map(add, totals, summary[0]))
-            pot = potential + weights.runner_potential(summary, c, l, e)
             if c < last:
                 base = i * stride
                 self.walk(
                     cols, strides, c + 1, max(lo - base, 0), min(hi - base, stride),
-                    text + t + "|", k, tot, pot, d, h, chosen + (entry,),
+                    text + t + "|", k, d, h, chosen + (entry,),
                 )
                 continue
-            checked = None
-            block = blocks.get(k)
-            if block is None:
-                block, checked = self.open_block(k, tot, chosen + (entry,))
-            members, signatures, weight, core_text, core_charges, terminal = block
-            moves = weights.potential_moves(pot, terminal, e)
-            signatures[tot, weight, moves, d, h, core_text, core_charges] = None
-            if checked is not None:
-                signatures[(tot, weight, moves, *checked, core_text, core_charges)] = None
+            members, signatures = blocks.get(k) or self.open_block(k, (d, h), chosen + (entry,))
+            signatures[d, h] = None
             members.append(text + t)
 
 
@@ -300,8 +278,8 @@ def _scan_chunk(args) -> dict:
 
 def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     """Group all level-l rank-n multipartitions by proxy block key and
-    decide each block by the rule in the module docstring, reporting it
-    from its first signature.  The multicharge is normalised into the
+    decide each block by the rule in the module docstring, reporting its
+    defect from its first signature.  The multicharge is normalised into the
     fundamental domain first, and the abacus window is
     n + max(normalised charges) + 1.  The members are cut into at most
     ``jobs`` chunks, and at most ``os.cpu_count()``; a single chunk runs
@@ -338,20 +316,30 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # appearance and each block its first signature
     merged: dict = {}
     for part in partials:
-        for key, (members, signatures, *_) in part.items():
+        for key, (members, signatures) in part.items():
             all_members, all_signatures = merged.setdefault(key, (members, signatures))
             if all_members is not members:
                 all_members.extend(members)
                 all_signatures.update(signatures)
-    firsts = {key: next(iter(signatures)) for key, (_, signatures) in merged.items()}
-    cores = Counter((core, core_charges) for *_, core, core_charges in firsts.values())
+    # the weight routes and the core depend only on the key
+    start = weights.start_potential(n, norm, e, m)
+    cores = {}
+    for key in merged:
+        totals = weights.class_totals(key, norm, m)
+        packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
+        core_mp, core_charges = weights.read_core(1 - m, packed, l)
+        moves = weights.potential_moves(start, terminal, e)
+        cores[key] = format_multipartition(core_mp), core_charges, moves
+    shared = Counter(core[:2] for core in cores.values())
     blocks = []
     for key, (members, signatures) in merged.items():
-        _, weight, moves, defect, hooks, core, core_charges = firsts[key]
+        weight = weights.residue_weight(key, norm)
+        defect, hooks = next(iter(signatures))
+        core, core_charges, moves = cores[key]
         violation = (
             len(signatures) > 1
             or not weight == moves == defect == hooks
-            or cores[core, core_charges] > 1
+            or shared[core, core_charges] > 1
         )
         blocks.append(
             BlockReport(key, tuple(members), weight, defect, core, core_charges, violation)

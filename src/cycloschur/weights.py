@@ -31,8 +31,13 @@ over the runners.  One routine, ``terminal_state``, packs them from a
 base below which every runner is full, and ``read_core`` reads the core
 off the packed counts.  ``core`` packs from the lowest gap of all
 runners (``abacus.active_beads``), so its cost does not grow with the
-window; the scan packs from the window floor 1 - m, once per block key,
-from the class totals of the first member of the block that it meets.
+window.  The scan packs from the window floor 1 - m, once per block key,
+since both inputs of the reduction follow from the key and the rank.
+Adding a box of residue r moves one bead from class r to class r + 1,
+so the class totals are those of the empty runners with the key moved
+along (``class_totals``), and adding a box raises one bead by one, so
+the start potential is that of the empty runners plus level times rank
+(``start_potential``).
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -53,7 +58,13 @@ from __future__ import annotations
 import random
 from typing import NamedTuple, Sequence
 
-from .abacus import active_beads, check_domain, multi_beta, normalize_multicharge
+from .abacus import (
+    active_beads,
+    beta_numbers,
+    check_domain,
+    multi_beta,
+    normalize_multicharge,
+)
 from .partitions import (
     Multipartition,
     Partition,
@@ -223,6 +234,29 @@ def potential_moves(start: int, terminal: int, e: int) -> int:
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
     return moves
+
+
+def _empty_classes(charges: Sequence[int], e: int, m: int) -> list[tuple]:
+    """The ``bead_classes`` summaries of the empty runners at window m."""
+    return [bead_classes(beta_numbers(Partition(()), s, m), e) for s in charges]
+
+
+def class_totals(key: Sequence[int], charges: Sequence[int], m: int) -> tuple[int, ...]:
+    """The bead counts per residue class mod e = len(key), summed over the
+    runners at window m of any multipartition with residue vector key."""
+    empty = zip(*(counts for counts, _, _ in _empty_classes(charges, len(key), m)))
+    # each box of residue r moves one bead from class r to class r + 1
+    return tuple(sum(column) - key[r] + key[r - 1] for r, column in enumerate(empty))
+
+
+def start_potential(rank: int, charges: Sequence[int], e: int, m: int) -> int:
+    """The potential of the runners at window m of any multipartition of
+    this rank: each box raises one bead by one."""
+    level = len(charges)
+    empty = _empty_classes(charges, e, m)
+    return level * rank + sum(
+        runner_potential(summary, c, level, e) for c, summary in enumerate(empty)
+    )
 
 
 def reduction_moves(summaries: Sequence[tuple], terminal: int, e: int) -> int:

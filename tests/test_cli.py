@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, islice, product
+from itertools import combinations_with_replacement, product
 
 import pytest
 
@@ -471,6 +471,21 @@ def test_scan_bad_path_leaves_no_file(tmp_path, capsys, bad, bad_first):
     assert (tmp_path / "ok.out").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("first", ["--csv", "--json"])
+def test_scan_refuses_one_path_for_both_files(tmp_path, capsys, first):
+    # the JSON would overwrite the CSV; the same file under two spellings is
+    # refused too, before any path is opened
+    second = "--json" if first == "--csv" else "--csv"
+    (tmp_path / "sub").mkdir()
+    same = [str(tmp_path / "same.out"), str(tmp_path / "sub" / ".." / "same.out")]
+    argv = ["scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1"]
+    code, out, err = run(capsys, *argv, first, same[0], second, same[1])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert sorted(path.name for path in tmp_path.iterdir()) == ["sub"]
+    assert list((tmp_path / "sub").iterdir()) == []
+
+
 def test_scan_refused_member_leaves_no_file(monkeypatch, tmp_path, capsys):
     # the CSV refuses a member after the scan: neither file is left
     block = BlockReport((1, 1), ("1|1", "1,1|0"), 1, 0, "0|0", (0, 1), False)
@@ -617,31 +632,28 @@ def test_scan_flags_uniform_hook_disagreement(monkeypatch):
 
 
 def test_scan_detects_core_mutation(monkeypatch, capsys):
-    # the class summary of 2.1 at charge 0, whose only member is 2.1|0, has
-    # one bead moved from class 0 to class 1 and its bead sum shifted so that
-    # the reduction weight stays right: only the core check can see it
-    cfg = multi_beta(parse_multipartition("2.1|0"), (0, 1), 5)
-    original = weights.bead_classes
-    (c0, c1), total, size = original(cfg.runners[0], 2)
-    (d0, d1), _, _ = original(cfg.runners[1], 2)
-    assert (c0 + d0, c1 + d1) == (7, 4)
-    change = (
-        weights.terminal_state((6, 5), 1 - cfg.m, 2, 2)[1]
-        - weights.terminal_state((7, 4), 1 - cfg.m, 2, 2)[1]
-    )
-    assert change == -2
+    # the class totals of the key of 2.1|0 are replaced by those of the key
+    # of 3|0, whose block has the same weight, so the terminal potential and
+    # with it the reduction weight stay right: only the core check can see
+    # that both blocks now read back the same core
+    key = residue_vector(parse_multipartition("2.1|0"), (0, 1), 2)
+    other = residue_vector(parse_multipartition("3|0"), (0, 1), 2)
+    original = weights.class_totals
+    assert (original(key, (0, 1), 5), original(other, (0, 1), 5)) == ((7, 4), (5, 6))
+    terminal = [weights.terminal_state(totals, -4, 2, 2)[1] for totals in ((7, 4), (5, 6))]
+    assert terminal[0] == terminal[1]
 
-    def broken(runner, e):
-        if runner == cfg.runners[0]:
-            return (c0 - 1, c1 + 1), total + change // 2, size
-        return original(runner, e)
+    def broken(k, charges, m):
+        return original(other if k == key else k, charges, m)
 
-    monkeypatch.setattr(scanning.weights, "bead_classes", broken)
+    monkeypatch.setattr(scanning.weights, "class_totals", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
     assert code == 1
-    assert out.count("VIOLATION") == 1
-    line = out.splitlines()[3]
-    assert "weight=2 defect=2" in line and line.endswith("VIOLATION")
+    heads = [line for line in out.splitlines() if line.startswith("block ")]
+    assert len(heads) == 2
+    for line in heads:
+        assert "weight=2 defect=2 core=1|0 core_charges=0,1" in line
+        assert line.endswith("VIOLATION")
 
 
 def test_scan_detects_shared_core(monkeypatch, capsys):
@@ -710,30 +722,34 @@ class SerialPool:
 
 
 def test_scan_merge_flags_chunk_mismatch(monkeypatch):
-    # each chunk reads its cores back on its own; a core read back with
-    # other charges the second time leaves every chunk consistent, so only
-    # the comparison of merged partial blocks can see it
-    seen = set()
-    original = weights.read_core
+    # only the second chunk builds its entries with the defect pair term one
+    # too high; a block met by both chunks gets a clean signature from the
+    # first and a faulty one from the second, and the merge must keep both
+    partials = []
+    real_chunk, real_component = scanning._scan_chunk, scanning._component
 
-    def broken(g, packed, level):
-        core_mp, charges = original(g, packed, level)
-        if (g, tuple(packed)) in seen:
-            return core_mp, tuple(c + 1 for c in charges)
-        seen.add((g, tuple(packed)))
-        return core_mp, charges
+    def chunk(args):
+        blocks = real_chunk(args)
+        # a copy, since the merge extends the partial blocks in place
+        partials.append({key: set(signatures) for key, (_, signatures) in blocks.items()})
+        return blocks
 
-    monkeypatch.setattr(scanning.weights, "read_core", broken)
+    def component(*args):
+        entry = real_component(*args)
+        return entry._replace(defect=entry.defect + 1) if partials else entry
+
+    monkeypatch.setattr(scanning, "_scan_chunk", chunk)
+    monkeypatch.setattr(scanning, "_component", component)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    assert scan(2, 6, 2, (0, 1), jobs=1).violations == 0
-    seen.clear()
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=2)
-    # the first chunk holds the first ceil(total / 2) members
-    half = -(-sum(len(b.members) for b in report.blocks) // 2)
-    first = {format_multipartition(mp) for mp in islice(enumerate_multipartitions(2, 6), half)}
-    for b in report.blocks:
-        assert b.violation == (b.members[0] in first and b.members[-1] not in first), b
-    assert report.violations > 0
+    first, second = partials
+    shared = first.keys() & second.keys()
+    assert shared
+    for key in shared:
+        assert len(first[key]) == 1 and len(first[key] | second[key]) > 1, key
+    # a block is flagged exactly when the second chunk met it
+    assert [b.violation for b in report.blocks] == [b.key in second for b in report.blocks]
 
 
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
@@ -757,7 +773,10 @@ def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_reads_each_core_once_per_block_key_per_chunk(monkeypatch, jobs):
+def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
+    # the merge packs and reads back each core once, however many chunks
+    # met its block; the chunks run in this process, so a call from one of
+    # them would be counted too
     calls = []
 
     def counting(name):
@@ -781,9 +800,10 @@ def test_scan_reads_each_core_once_per_block_key_per_chunk(monkeypatch, jobs):
         len({residue_vector(mp, (0, 1), 2) for mp in members[start : start + size]})
         for start in range(0, len(members), size)
     )
-    # with two chunks some block is met by both, so it is read back twice
+    # with two chunks some block is met by both
     assert (keys > len(report.blocks)) == (jobs > 1)
-    assert sorted(calls) == ["read_core"] * keys + ["terminal_state"] * keys
+    blocks = len(report.blocks)
+    assert sorted(calls) == ["read_core"] * blocks + ["terminal_state"] * blocks
 
 
 @pytest.mark.parametrize("jobs", [1, 2])

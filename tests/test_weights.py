@@ -13,7 +13,9 @@ from cycloschur.partitions import (
     partitions_of,
 )
 from cycloschur.weights import (
+    bead_classes,
     bgo_check,
+    class_totals,
     core,
     ecore_abacus,
     ecore_classical,
@@ -22,6 +24,8 @@ from cycloschur.weights import (
     potential_moves,
     residue_vector,
     residue_weight,
+    runner_potential,
+    start_potential,
     uglov_weight,
 )
 
@@ -299,3 +303,22 @@ def test_potential_moves_rejects_a_potential_it_cannot_reach():
     for start, terminal in ((7, 2), (1, 7)):
         with pytest.raises(ArithmeticError):
             potential_moves(start, terminal, 3)
+
+
+@pytest.mark.parametrize("e", [2, 3, 4])
+@pytest.mark.parametrize("l", [1, 2, 3])
+def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
+    # the scan reads the class totals off the block key and the start
+    # potential off the rank: every member of the scan grids, at the scan
+    # window, must have those of the formulas
+    for charges in combinations_with_replacement(range(e), l):
+        for n in range(7):
+            m = n + max(charges) + 1
+            start = start_potential(n, charges, e, m)
+            for mp in enumerate_multipartitions(l, n):
+                summaries = [bead_classes(r, e) for r in multi_beta(mp, charges, m).runners]
+                totals = tuple(map(sum, zip(*(counts for counts, _, _ in summaries))))
+                key = residue_vector(mp, charges, e)
+                assert totals == class_totals(key, charges, m), (mp, charges)
+                potential = sum(runner_potential(sm, c, l, e) for c, sm in enumerate(summaries))
+                assert potential == start, (mp, charges)
