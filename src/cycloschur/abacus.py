@@ -28,7 +28,8 @@ and their prefix sums, so the full region of a runner below its own k
 costs one lookup per runner.  ``count_divisible_hooks`` builds the
 tables from the lowest gap of all runners (``active_beads``), so its
 cost does not grow with the window; the scan builds one table per
-(partition, charge) from the window floor, once per scan.
+partition and worker from the window floor, from the row beads and the
+top of the packed run, and slides it to the partition's other charges.
 """
 
 from __future__ import annotations
@@ -332,10 +333,15 @@ def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return g, tuple(r[: s + 1 - g] for r, s in zip(cfg.runners, cfg.charges))
 
 
-def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
+def hook_table(
+    beads: Sequence[int], base: int, top: int, e: int, full: int | None = None
+) -> tuple:
     """The divisible-hook table of a runner whose beads at or above base
     are `beads` and which is full below base, over the positions base to
-    top: (k, above, (P, P sums), (Q, Q sums)).
+    top: (k, above, (P, P sums), (Q, Q sums)).  With `full`, every
+    position from base to full holds a bead too, and `beads` need only
+    hold the beads above it, so a partition's runner is given by its row
+    beads and the top of its packed run.
 
     k is the index of the runner's lowest gap and `above` the indices of
     its beads above it, counted from base.  P[i] is the number of gaps
@@ -347,15 +353,20 @@ def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
     size = top - base + 1
     if beads and not base <= min(beads) <= max(beads) <= top:
         raise ValueError(f"beads must lie in [{base}, {top}]")
-    q = [1] * size
+    lo = 0 if full is None else full + 1 - base
+    q = [0] * lo + [1] * (size - lo)
     for x in beads:
         q[x - base] = 0
-    k = q.index(1) if 1 in q else size
-    p = [0] * size
-    for i in range(e, size):
-        p[i] = q[i - e]
-        q[i] += p[i]
-    above = tuple(x - base for x in beads if x - base > k)
+    try:
+        k = q.index(1, lo)
+    except ValueError:
+        k = size
+    # Q[i] = gap(i) + Q[i - e]: a running sum along each residue class,
+    # which stays 0 through the packed run
+    for r in range(lo, min(lo + e, size)):
+        q[r::e] = accumulate(q[r::e])
+    p = [0] * min(e, size) + q[:-e]
+    above = tuple([x - base for x in beads if x - base > k])
     return k, above, (p, list(accumulate(p, initial=0))), (q, list(accumulate(q, initial=0)))
 
 

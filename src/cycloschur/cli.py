@@ -251,7 +251,11 @@ def _cmd_scan(args) -> int:
     charges = _charges_for(args, args.l)
     _check_packages(args.l, args.p)
     paths = [path for path in (args.csv, args.json) if path is not None]
-    if len(paths) == 2 and os.path.realpath(args.csv) == os.path.realpath(args.json):
+    if len(paths) == 2 and (
+        os.path.realpath(args.csv) == os.path.realpath(args.json)
+        # two hard links to one file have different real paths
+        or all(map(os.path.exists, paths)) and os.path.samefile(*paths)
+    ):
         raise ValueError("--csv and --json name the same file")
     created = [path for path in paths if not os.path.exists(path)]
     try:

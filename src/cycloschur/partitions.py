@@ -132,11 +132,14 @@ def partitions_of(n: int, max_part: int | None = None) -> tuple[Partition, ...]:
     if n == 0:
         return (Partition(),)
     top = n if max_part is None else min(max_part, n)
-    out = []
-    for first in range(top, 0, -1):
-        for rest in partitions_of(n - first, first):
-            out.append(Partition((first, *rest)))
-    return tuple(out)
+    # each result is valid by construction, so it skips the checks of
+    # Partition.__new__
+    new = tuple.__new__
+    return tuple(
+        new(Partition, (first,) + rest)
+        for first in range(top, 0, -1)
+        for rest in partitions_of(n - first, first)
+    )
 
 
 def rank_vectors(n: int, l: int) -> Iterator[tuple[int, ...]]:

@@ -11,23 +11,33 @@ the enumeration.  Each member leaves its signature, its defect and
 divisible-hook count, in its block, and one rule decides every block:
 it is a violation if its members leave more than one signature, if the
 four routes differ, or if another block has the same core and core
-multicharge.  Each worker builds, once per scan, an entry for every
-(partition, charge) it meets (text, residue counts, the divisible-hook
-table of ``abacus.hook_table``, the column tables of
-``schur.defect_integer`` and the component's own pair term of both
-member routes; no beta-numbers are kept).  It walks each rank vector of
-``rank_vectors`` as nested loops, the leftmost component slowest as in
-``enumerate_multipartitions``, and each level carries the prefix sums
-of the components before it: text, residue vector, defect and hook
-count.  A member adds only its last component: the cached pair terms
-and, per route, two cross terms with each earlier component.  The first
-member of a block that a worker meets is also run through the
-member-level routes (``schur.defect_integer`` and
-``abacus.sum_hook_tables``) as a second signature, so a fault of the
-nested sums leaves two.  A chunk of the enumeration starts by unranking
-its first member from the partition numbers.  The partial blocks are
-merged in enumeration order, so the output is byte-identical for any
-worker count.
+multicharge.
+
+Each worker keeps one entry per (partition, charge) it uses, and makes
+none it does not use: text, residue counts packed into one int, the
+divisible-hook table of ``abacus.hook_table``, the column tables of
+``schur.column_tables`` and the component's own pair term of both member
+routes.  The first charge a worker meets a partition at gets a full
+build, which gives ``hook_table`` only the row beads and the top of the
+packed run.  The other charges get copies shifted from an entry already
+made: raising the charge by t moves every bead up t places, so the hook
+table's lists slide by t and the residue classes rotate by t, and a
+copy sums its own pair terms again from its shifted tables.  The worker
+keeps its entries by rank and charge, in ``partitions_of`` order, which
+is how the walk reads them.  The worker walks each rank
+vector of ``rank_vectors`` as nested loops, the leftmost component
+slowest as in ``enumerate_multipartitions``, and each level carries the
+prefix sums of the components before it: text, packed residue key,
+defect and hook count, and the cross-term tuples of the chosen entries.
+A member adds only its last component: its own pair terms and, per
+route, two cross terms with each earlier component.  The first member
+of a block that a worker meets is also run through the member-level
+routes (``schur.defect_integer`` and ``abacus.sum_hook_tables``) as a
+second signature, so a fault of the nested sums leaves two.  A chunk of
+the enumeration starts by unranking its first member from the partition
+numbers, and unpacks its keys into tuples once per block.  The partial
+blocks are merged in enumeration order, so the output is byte-identical
+for any worker count.
 """
 
 from __future__ import annotations
@@ -36,17 +46,18 @@ import json
 import os
 from collections import Counter
 from math import prod
-from operator import add, getitem
+from itertools import accumulate, count
+from operator import getitem, lshift
 from typing import NamedTuple
 
 from . import abacus, schur, weights
 from .partitions import (
     Multipartition,
-    Partition,
     count_multipartitions,
     format_multicharge,
     format_multipartition,
     format_partition,
+    parse_partition,
     partitions_of,
     rank_vectors,
 )
@@ -136,58 +147,115 @@ class ScanReport(NamedTuple):
 
 class _Entry(NamedTuple):
     """Everything a member needs from one of its components under its
-    charge, and that component's own pair terms of both routes."""
+    charge, and that component's own pair terms of both routes.  The walk
+    reads the fields up to ``cross``; ``hooks`` and ``tables`` feed the
+    member-level routes and the shifted copies."""
 
-    part: Partition
     text: str
-    counts: tuple  # weights.residue_counts
-    hooks: tuple  # abacus.hook_table over the window
-    tables: tuple  # schur.column_tables
+    key: int  # weights.residue_counts, packed by _pack
     defect: int  # the pair (c, c) of schur.defect_integer
     hook_count: int  # the pair (c, c) of abacus.sum_hook_tables
-    # the parts of hooks and tables that the cross terms read: the lowest
-    # gap, the beads above it, the P and Q sums and lookups, the rows and
-    # the shifts
+    # what the component reads against the earlier ones: the lowest gap,
+    # the beads above it, the Q sums and lookup, the rows and the shifts
     gap: int
     above: tuple
-    p_sums: list
-    p_at: object
     q_sums: list
     q_at: object
     rows: list
     shifts: list
+    # what a later component reads against this one: the same with P
+    cross: tuple
+    hooks: tuple  # abacus.hook_table over the window
+    tables: tuple  # schur.column_tables
+
+
+def _pack(counts, bits: int) -> int:
+    """The residue counts as one int, `bits` bits per class, so that
+    adding packed keys adds the counts class by class."""
+    return sum(map(lshift, counts, count(0, bits)))
+
+
+def _record(text: str, key: int, hooks: tuple, tables: tuple) -> _Entry:
+    """The entry with these tables, its own pair terms summed from them."""
+    gap, above, (p_values, p_sums), (q_values, q_sums) = hooks
+    rows, shifts = tables
+    p_at = p_values.__getitem__
+    return _Entry(
+        text,
+        key,
+        sum(map(getitem, rows, shifts)),
+        p_sums[gap] + sum(map(p_at, above)),
+        gap,
+        above,
+        q_sums,
+        q_values.__getitem__,
+        rows,
+        shifts,
+        (gap, above, p_sums, p_at, rows, shifts),
+        hooks,
+        tables,
+    )
 
 
 def _component(p, s: int, e: int, m: int, width: int) -> _Entry:
-    beta = abacus.beta_numbers(p, s, m)
-    hooks = abacus.hook_table(beta, 1 - m, m - 1, e)
-    tables = schur.column_tables(p, s, e, width)
-    gap, above, (p_values, p_sums), (q_values, q_sums) = hooks
-    return _Entry(
-        p,
+    """The entry of the partition p under the charge s, built in full; the
+    runner is given to ``abacus.hook_table`` by its row beads and the top
+    of its packed run."""
+    hooks = abacus.hook_table(
+        [part - j + s for j, part in enumerate(p)], 1 - m, m - 1, e, full=s - len(p)
+    )
+    return _record(
         format_partition(p),
-        weights.residue_counts(p, s, e),
+        _pack(weights.residue_counts(p, s, e), width.bit_length()),
         hooks,
-        tables,
-        sum(map(getitem, *tables)),
-        p_sums[gap] + sum(map(p_values.__getitem__, above)),
-        gap,
-        above,
-        p_sums,
-        p_values.__getitem__,
-        q_sums,
-        q_values.__getitem__,
-        *tables,
+        schur.column_tables(p, s, e, width),
+    )
+
+
+def _shift(entry: _Entry, t: int, e: int, width: int) -> _Entry:
+    """The entry of the same partition under the charge raised by t, for
+    |t| < e.  Every bead moves up t places in the fixed window: the P, Q
+    and sums lists slide by t, a residue class r becomes r + t, so the
+    residue counts and the row tuples rotate and each shift grows by t."""
+    gap, above, (p, p_sums), (q, q_sums) = entry.hooks
+    rows, shifts = entry.tables
+    if t > 0:
+        pad = [0] * t
+        p, p_sums, q, q_sums = pad + p[:-t], pad + p_sums[:-t], pad + q[:-t], pad + q_sums[:-t]
+    elif t < 0:
+        # the runner's lowest gap lies above index u = -t, so the lists
+        # lose only zeros at the bottom.  The u positions that come in at
+        # the top are gaps, and as u < e the position one class step
+        # below each is still in the old lists: P there is that Q, and Q
+        # one more
+        size, u = len(q), -t
+        q_top = [q[i - e + u] + 1 if i >= e else 1 for i in range(size - u, size)]
+        p_top = [x - 1 for x in q_top]
+        p, q = p[u:] + p_top, q[u:] + q_top
+        p_sums = p_sums[u:] + list(accumulate(p_top, initial=p_sums[-1]))[1:]
+        q_sums = q_sums[u:] + list(accumulate(q_top, initial=q_sums[-1]))[1:]
+    r, bits = t % e, width.bit_length()
+    low = bits * (e - r)
+    key = entry.key >> low | (entry.key & ((1 << low) - 1)) << (bits * r)
+    turn = [*range(r, e), *range(r)]
+    return _record(
+        entry.text,
+        key,
+        (gap + t, tuple([x + t for x in above]), (p, p_sums), (q, q_sums)),
+        ([row[-r:] + row[:-r] for row in rows], list(map(turn.__getitem__, shifts))),
     )
 
 
 class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
-    ``parts`` holds one entry per distinct (partition, charge) pair.
-    ``blocks`` maps a residue key to (members, signatures); the signatures
-    dict keeps each distinct (defect, hook count) pair once, in order of
-    first appearance."""
+    ``parts`` maps a rank and a charge to the entries of the partitions of
+    that rank under that charge, in ``partitions_of`` order and None where
+    the chunk has made none; the first entry made of a partition is built
+    in full and the others are shifted copies.  ``blocks`` maps a packed
+    residue key to (members, signatures); the signatures dict keeps each
+    distinct (defect, hook count) pair once, in order of first
+    appearance."""
 
     def __init__(self, l: int, n: int, e: int, charges: tuple, m: int):
         self.l, self.n, self.e, self.charges, self.m = l, n, e, charges, m
@@ -196,9 +264,10 @@ class _Chunk:
 
     def run(self, start: int, stop: int) -> dict:
         """Walk the members start..stop-1 in enumeration order: skip whole
-        rank vectors by their member counts, then clip each level."""
+        rank vectors by their member counts, then clip each level.  Only
+        the entries the clipped levels reach are made.  The keys are
+        unpacked into tuples once per block."""
         l = self.l
-        zeros = (0,) * self.e
         offset = 0
         for ranks in rank_vectors(self.n, l):
             counts = [len(partitions_of(k)) for k in ranks]
@@ -206,27 +275,55 @@ class _Chunk:
             lo, hi = max(start - offset, 0), min(stop - offset, size)
             offset += size
             if lo < hi:
-                cols = [
-                    [self.entry(p, s) for p in partitions_of(k)]
-                    for k, s in zip(ranks, self.charges)
-                ]
                 strides = [prod(counts[c + 1 :]) for c in range(l)]
-                self.walk(cols, strides, 0, lo, hi, "", zeros, 0, 0, ())
+                cols = [
+                    self.column(k, s, stride, lo, hi)
+                    for k, s, stride in zip(ranks, self.charges, strides)
+                ]
+                self.walk(cols, strides, 0, lo, hi, "", 0, 0, 0, ())
             if offset >= stop:
                 break
-        return self.blocks
+        bits = self.n.bit_length()
+        mask = (1 << bits) - 1
+        return {
+            tuple(key >> (r * bits) & mask for r in range(self.e)): block
+            for key, block in self.blocks.items()
+        }
 
-    def entry(self, p, s: int) -> _Entry:
-        entry = self.parts.get((p, s))
-        if entry is None:
-            entry = self.parts[p, s] = _component(p, s, self.e, self.m, self.n)
-        return entry
+    def column(self, k: int, s: int, stride: int, lo: int, hi: int) -> list:
+        """The entries of the partitions of k under the charge s, in
+        ``partitions_of`` order, with every one that the members lo..hi-1
+        reach made."""
+        col = self.parts.get((k, s))
+        if col is None:
+            col = self.parts[k, s] = [None] * len(partitions_of(k))
+        length = len(col)
+        first = lo // stride
+        for j in range(first, min((hi - 1) // stride + 1, first + length)):
+            i = j % length
+            if col[i] is None:
+                col[i] = self.entry(k, i, s)
+        return col
 
-    def open_block(self, key: tuple, signature: tuple, entries: tuple) -> tuple:
+    def entry(self, k: int, i: int, s: int) -> _Entry:
+        """The entry of the i-th partition of k under the charge s: shifted
+        from one this chunk has made under another charge, or built in full
+        if there is none."""
+        for base in self.charges:
+            made = self.parts.get((k, base))
+            if made and made[i]:
+                return _shift(made[i], s - base, self.e, self.n)
+        return _component(partitions_of(k)[i], s, self.e, self.m, self.n)
+
+    def open_block(self, key: int, signature: tuple, text: str) -> tuple:
         """A new block from the first member the chunk meets, with that
         member's signature and, as a second one, its defect and hook count
-        by the member-level routes."""
-        mp = Multipartition([entry.part for entry in entries])
+        by the member-level routes over the entries of its components."""
+        mp = Multipartition(parse_partition(t) for t in text.split("|"))
+        entries = [
+            self.parts[p.rank, s][partitions_of(p.rank).index(p)]
+            for p, s in zip(mp, self.charges)
+        ]
         checked = (
             schur.defect_integer(
                 mp, self.charges, self.e, tables=[entry.tables for entry in entries]
@@ -237,38 +334,37 @@ class _Chunk:
         return block
 
     def walk(self, cols, strides, c, lo, hi, text, key, defect, hook_count, chosen):
-        """The members lo..hi-1 below the entries chosen for the components
-        before c, whose prefix sums are the other arguments.  Component c
-        adds its own pair terms and, with each chosen component a, the
-        pairs (a, c) and (c, a) of each route: rows of one against shifts
-        of the other, and the beads of a against Q of c and those of c
-        against P of a."""
+        """The members lo..hi-1 below the components chosen before c, whose
+        prefix sums are the other arguments and whose ``cross`` tuples are
+        `chosen`.  Component c adds its own pair terms and, with each
+        chosen component a, the pairs (a, c) and (c, a) of each route: rows
+        of one against shifts of the other, and the beads of a against Q
+        of c and those of c against P of a."""
         entries, stride, last = cols[c], strides[c], len(cols) - 1
         blocks = self.blocks
         for i in range(lo // stride, (hi - 1) // stride + 1):
-            entry = entries[i]
-            (_, t, counts, _, _, d, h,
-             gap_c, above_c, _, _, q_sums_c, q_c, rows_c, shifts_c) = entry
+            (t, k, d, h, gap_c, above_c, q_sums_c, q_c, rows_c, shifts_c,
+             cross, _, _) = entries[i]
             d += defect
             h += hook_count
-            for (_, _, _, _, _, _, _,
-                 gap_a, above_a, p_sums_a, p_a, _, _, rows_a, shifts_a) in chosen:
+            for gap_a, above_a, p_sums_a, p_a, rows_a, shifts_a in chosen:
                 d += sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
                 h += (
                     q_sums_c[gap_a] + sum(map(q_c, above_a))
                     + p_sums_a[gap_c] + sum(map(p_a, above_c))
                 )
-            k = tuple(map(add, key, counts))
+            k += key
             if c < last:
                 base = i * stride
                 self.walk(
                     cols, strides, c + 1, max(lo - base, 0), min(hi - base, stride),
-                    text + t + "|", k, d, h, chosen + (entry,),
+                    text + t + "|", k, d, h, chosen + (cross,),
                 )
                 continue
-            members, signatures = blocks.get(k) or self.open_block(k, (d, h), chosen + (entry,))
+            member = text + t
+            members, signatures = blocks.get(k) or self.open_block(k, (d, h), member)
             signatures[d, h] = None
-            members.append(text + t)
+            members.append(member)
 
 
 def _scan_chunk(args) -> dict:

@@ -1,3 +1,4 @@
+import random
 from itertools import combinations_with_replacement
 
 import pytest
@@ -13,6 +14,7 @@ from cycloschur.abacus import (
     count_divisible_hooks,
     count_zero_hooks,
     default_window,
+    hook_table,
     in_fundamental_domain,
     multi_beta,
     n_k,
@@ -248,6 +250,37 @@ def test_count_divisible_matches_multiset():
             if v % e == 0
         )
         assert count_divisible_hooks(cfg, e) == expected
+
+
+def test_hook_table_matches_the_recurrence():
+    # P[i] counts the gaps at i - e, i - 2e, ... and Q[i] adds the gap at
+    # i, written out position by position on random runners given by their
+    # beads above a packed run; the first two runners are empty, the second
+    # with no gap at all
+    rng = random.Random(11)
+    cases = [((), -3, 3, 2, None), ((), -3, 3, 2, 3)]
+    for _ in range(400):
+        e, base = rng.randint(2, 6), rng.randint(-8, 2)
+        top = base + rng.randint(0, 20)
+        full = rng.randint(base - 1, top)
+        beads = sorted(rng.sample(range(full + 1, top + 1), rng.randint(0, top - full)))
+        cases.append((tuple(reversed(beads)), base, top, e, full))
+    for beads, base, top, e, full in cases:
+        packed = range(base, base if full is None else full + 1)
+        occupied = set(beads).union(packed)
+        gap = [int(base + i not in occupied) for i in range(top - base + 1)]
+        p = [sum(gap[j] for j in range(i - e, -1, -e)) for i in range(len(gap))]
+        q = [pi + g for pi, g in zip(p, gap)]
+        k = gap.index(1) if 1 in gap else len(gap)
+        expected = (
+            k,
+            tuple(x - base for x in beads if x - base > k),
+            (p, [sum(p[:i]) for i in range(len(p) + 1)]),
+            (q, [sum(q[:i]) for i in range(len(q) + 1)]),
+        )
+        assert hook_table(beads, base, top, e, full) == expected, (beads, base, top, e, full)
+        # the same runner given by all its beads at or above base
+        assert hook_table(sorted(occupied, reverse=True), base, top, e) == expected
 
 
 def test_in_fundamental_domain():

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, product
+from itertools import combinations_with_replacement, permutations, product
 
 import pytest
 
@@ -20,6 +20,7 @@ from cycloschur.partitions import (
     format_multicharge,
     format_multipartition,
     parse_multipartition,
+    partitions_of,
 )
 from cycloschur.scanning import BlockReport, ScanReport, scan
 from cycloschur.schur import defect_integer
@@ -486,6 +487,21 @@ def test_scan_refuses_one_path_for_both_files(tmp_path, capsys, first):
     assert list((tmp_path / "sub").iterdir()) == []
 
 
+@pytest.mark.parametrize("first", ["--csv", "--json"])
+def test_scan_refuses_two_hard_links_to_one_file(tmp_path, capsys, first):
+    # two hard links to one file have different real paths; the JSON would
+    # overwrite the CSV, so the pair is refused before either is opened
+    second = "--json" if first == "--csv" else "--csv"
+    a, b = tmp_path / "a.out", tmp_path / "b.out"
+    a.write_text("kept\n")
+    os.link(a, b)
+    argv = ["scan", "--l", "1", "--n", "2", "--e", "2"]
+    code, out, err = run(capsys, *argv, first, str(a), second, str(b))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert a.read_text() == b.read_text() == "kept\n"
+
+
 def test_scan_refused_member_leaves_no_file(monkeypatch, tmp_path, capsys):
     # the CSV refuses a member after the scan: neither file is left
     block = BlockReport((1, 1), ("1|1", "1,1|0"), 1, 0, "0|0", (0, 1), False)
@@ -589,18 +605,98 @@ def test_scan_matches_member_by_member_reference(l, e):
 
 
 def test_scan_builds_one_hook_table_per_component(monkeypatch):
+    # each chunk builds one hook table per partition it meets, under the
+    # first charge it meets it at, and shifts it to the other charges; the
+    # chunks run in this process, so every chunk's calls are counted
     calls = []
-    real = abacus.hook_table
+    real_table, real_chunk = abacus.hook_table, scanning._scan_chunk
 
-    def counting(beads, base, top, e):
-        calls.append(beads)
-        return real(beads, base, top, e)
+    def counting(beads, base, top, e, full=None):
+        # the partition, read back from its row beads and the top of its
+        # packed run
+        s = full + len(beads)
+        calls[-1].append(tuple(x + j - s for j, x in enumerate(beads)))
+        return real_table(beads, base, top, e, full)
+
+    def chunk(args):
+        calls.append([])
+        return real_chunk(args)
 
     monkeypatch.setattr(abacus, "hook_table", counting)
-    report = scan(2, 5, 2, (0, 1))
-    assert report.violations == 0
-    pairs = {pair for mp in enumerate_multipartitions(2, 5) for pair in zip(mp, (0, 1))}
-    assert len(calls) == len(pairs)
+    monkeypatch.setattr(scanning, "_scan_chunk", chunk)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
+    members = list(enumerate_multipartitions(2, 5))
+    for jobs in (1, 2):
+        calls.clear()
+        assert scan(2, 5, 2, (0, 1), jobs=jobs).violations == 0
+        size = -(-len(members) // jobs)
+        met = [
+            sorted({p for mp in members[start : start + size] for p in mp})
+            for start in range(0, len(members), size)
+        ]
+        assert [sorted(chunk) for chunk in calls] == met, jobs
+
+
+def entry_fields(entry):
+    # a lookup compares by the list it reads
+    def plain(values):
+        return [getattr(value, "__self__", value) for value in values]
+
+    return plain(entry[:10]) + [plain(entry.cross), entry.hooks, entry.tables]
+
+
+def test_shift_reaches_each_charge_from_each_other():
+    # up or down by every t with |t| < e, also in windows narrower than e,
+    # where the gaps a downward shift brings in at the top have no class
+    # step below them
+    for e, n in product(range(2, 7), range(5)):
+        for top in range(1, e):
+            m = n + top + 1
+            for p in (p for k in range(n + 1) for p in partitions_of(k)):
+                full = [scanning._component(p, s, e, m, n) for s in range(top + 1)]
+                for a, b in permutations(range(top + 1), 2):
+                    shifted = scanning._shift(full[a], b - a, e, n)
+                    assert entry_fields(shifted) == entry_fields(full[b]), (p, a, b, e, n)
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
+    # on every Tier-1 scan grid, each entry a chunk makes, whether shifted
+    # from another charge or built in full, equals the full build of its
+    # (partition, charge) field by field, and a chunk makes exactly the
+    # entries its members use
+    chunks = []
+    real_run = scanning._Chunk.run
+
+    def recording(self, start, stop):
+        chunks.append((self, start, stop))
+        return real_run(self, start, stop)
+
+    monkeypatch.setattr(scanning._Chunk, "run", recording)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
+    shifted = 0
+    for l, e in product((1, 2, 3), (2, 3, 4)):
+        for charges in combinations_with_replacement(range(e), l):
+            for n in range(7):
+                chunks.clear()
+                scan(l, n, e, charges, jobs=jobs)
+                members = list(enumerate_multipartitions(l, n))
+                for chunk, start, stop in chunks:
+                    made = {
+                        (partitions_of(k)[i], s): entry
+                        for (k, s), col in chunk.parts.items()
+                        for i, entry in enumerate(col)
+                        if entry is not None
+                    }
+                    used = {pair for mp in members[start:stop] for pair in zip(mp, charges)}
+                    assert made.keys() == used, (l, n, e, charges, jobs)
+                    shifted += len(made) - len({p for p, _ in made})
+                    for (p, s), entry in made.items():
+                        full = scanning._component(p, s, e, chunk.m, n)
+                        assert entry_fields(entry) == entry_fields(full), (p, s, l, n, e, charges, jobs)
+    assert shifted > 0
 
 
 def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):

@@ -58,6 +58,22 @@ def test_conjugate_involution_exhaustive():
             assert p.conjugate().conjugate() == p
 
 
+def test_partitions_of_are_valid_and_strictly_descending():
+    # the results skip the checks of Partition(), so each must pass them,
+    # and the counts are the partition numbers, by parts at most k
+    numbers = [1] + [0] * 25
+    for k in range(1, 26):
+        for n in range(k, 26):
+            numbers[n] += numbers[n - k]
+    assert numbers[25] == 1958
+    for n in range(26):
+        parts = partitions_of(n)
+        for p in parts:
+            assert type(p) is Partition and Partition(p) == p and sum(p) == n
+        assert all(a > b for a, b in zip(parts, parts[1:])), n
+        assert len(parts) == numbers[n]
+
+
 def test_n_invariant_formulas_agree_exhaustive():
     for n in range(0, 13):
         for p in partitions_of(n):
