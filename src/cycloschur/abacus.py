@@ -333,15 +333,13 @@ def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return g, tuple(r[: s + 1 - g] for r, s in zip(cfg.runners, cfg.charges))
 
 
-def hook_table(
-    beads: Sequence[int], base: int, top: int, e: int, full: int | None = None
-) -> tuple:
-    """The divisible-hook table of a runner whose beads at or above base
-    are `beads` and which is full below base, over the positions base to
-    top: (k, above, (P, P sums), (Q, Q sums)).  With `full`, every
-    position from base to full holds a bead too, and `beads` need only
-    hold the beads above it, so a partition's runner is given by its row
-    beads and the top of its packed run.
+def hook_table(beads: Sequence[int], base: int, top: int, e: int, full: int) -> tuple:
+    """The divisible-hook table of a runner which holds a bead at every
+    position up to `full` (at least base - 1) and, above it, the beads
+    `beads`, over the positions base to top: (k, above, (P, P sums),
+    (Q, Q sums)).  So a partition's runner is given by its row beads and
+    the top of its packed run, or with full = base - 1 by all its beads at
+    or above base.
 
     k is the index of the runner's lowest gap and `above` the indices of
     its beads above it, counted from base.  P[i] is the number of gaps
@@ -353,7 +351,7 @@ def hook_table(
     size = top - base + 1
     if beads and not base <= min(beads) <= max(beads) <= top:
         raise ValueError(f"beads must lie in [{base}, {top}]")
-    lo = 0 if full is None else full + 1 - base
+    lo = full + 1 - base
     q = [0] * lo + [1] * (size - lo)
     for x in beads:
         q[x - base] = 0
@@ -394,7 +392,7 @@ def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     check_domain(cfg.charges, e)
     g, beads = active_beads(cfg)
     top = max((r[0] for r in beads if r), default=g - 1)
-    return sum_hook_tables([hook_table(r, g, top, e) for r in beads])
+    return sum_hook_tables([hook_table(r, g, top, e, g - 1) for r in beads])
 
 
 def normalize_multicharge(

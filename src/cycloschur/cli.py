@@ -249,6 +249,9 @@ def _cmd_scan(args) -> int:
     the files this command created are removed.  The files go before
     stdout, so that a failure leaves stdout empty."""
     charges = _charges_for(args, args.l)
+    if args.p is not None and args.csv is None:
+        # orbit sizes go only to the CSV
+        raise ValueError("--p needs --csv")
     _check_packages(args.l, args.p)
     paths = [path for path in (args.csv, args.json) if path is not None]
     if len(paths) == 2 and (

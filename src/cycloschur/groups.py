@@ -33,26 +33,20 @@ def sigma(mp: Multipartition, d: int) -> Multipartition:
     return Multipartition(mp[-d:] + mp[:-d])
 
 
-def orbit(mp: str | Sequence, d: int, p: int) -> int:
+def orbit(mp: str | Multipartition, d: int, p: int) -> int:
     """The size of the orbit of mp under the shift by d-packages, for
     level p*d: the least number of package rotations that fixes mp, a
     divisor of p whose cofactor p // size is the order of the stabilizer.
 
-    mp is a member text such as ``"2.1|0|2.1|0"``, a ``Multipartition``
-    or a sequence of component texts.  The size is read from the period
-    of the text t = mp + "|".  Since t ends in "|", a character rotation
-    that fixes t moves a whole number of components, so the least such
-    rotation r, the first match of t in t + t after position 0, moves
-    the least number c of components that fixes mp.  The shifts fixing
-    mp are the multiples of c, and c divides the level p*d; the k-th
-    power of the shift fixes mp exactly when c divides k*d, so the size
-    is c // gcd(c, d), a divisor of p."""
-    if isinstance(mp, str):
-        text = mp
-    elif isinstance(mp, Multipartition):
-        text = format_multipartition(mp)
-    else:
-        text = "|".join(mp)
+    mp is a member text such as ``"2.1|0|2.1|0"`` or a ``Multipartition``.
+    The size is read from the period of the text t = mp + "|".  Since t
+    ends in "|", a character rotation that fixes t moves a whole number of
+    components, so the least such rotation r, the first match of t in
+    t + t after position 0, moves the least number c of components that
+    fixes mp.  The shifts fixing mp are the multiples of c, and c divides
+    the level p*d; the k-th power of the shift fixes mp exactly when c
+    divides k*d, so the size is c // gcd(c, d), a divisor of p."""
+    text = mp if isinstance(mp, str) else format_multipartition(mp)
     t = text + "|"
     if not text or d < 1 or p < 1 or t.count("|") != p * d:
         raise ValueError("level must equal p*d")

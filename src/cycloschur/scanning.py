@@ -23,10 +23,11 @@ packed run.  The other charges get copies shifted from an entry already
 made: raising the charge by t moves every bead up t places, so the hook
 table's lists slide by t and the residue classes rotate by t, and a
 copy sums its own pair terms again from its shifted tables.  The worker
-keeps its entries by rank and charge, in ``partitions_of`` order, which
-is how the walk reads them.  The worker walks each rank
-vector of ``rank_vectors`` as nested loops, the leftmost component
-slowest as in ``enumerate_multipartitions``, and each level carries the
+keeps its entries in whole columns by rank and charge, in
+``partitions_of`` order, which is how the walk reads them.  The worker
+walks each rank vector of ``rank_vectors`` as nested loops over whole
+columns, the leftmost component slowest as in
+``enumerate_multipartitions``, and each level carries the
 prefix sums of the components before it: text, packed residue key,
 defect and hook count, and the cross-term tuples of the chosen entries.
 A member adds only its last component: its own pair terms and, per
@@ -34,10 +35,10 @@ route, two cross terms with each earlier component.  The first member
 of a block that a worker meets is also run through the member-level
 routes (``schur.defect_integer`` and ``abacus.sum_hook_tables``) as a
 second signature, so a fault of the nested sums leaves two.  A chunk of
-the enumeration starts by unranking its first member from the partition
-numbers, and unpacks its keys into tuples once per block.  The partial
-blocks are merged in enumeration order, so the output is byte-identical
-for any worker count.
+the enumeration is a run of whole rank vectors, each walked whole, and
+it unpacks its keys into tuples once per block.  The partial blocks are
+merged in enumeration order, so the output is byte-identical for any
+worker count.
 """
 
 from __future__ import annotations
@@ -249,40 +250,24 @@ def _shift(entry: _Entry, t: int, e: int, width: int) -> _Entry:
 class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
-    ``parts`` maps a rank and a charge to the entries of the partitions of
-    that rank under that charge, in ``partitions_of`` order and None where
-    the chunk has made none; the first entry made of a partition is built
-    in full and the others are shifted copies.  ``blocks`` maps a packed
-    residue key to (members, signatures); the signatures dict keeps each
-    distinct (defect, hook count) pair once, in order of first
-    appearance."""
+    ``parts`` maps a rank and a charge to the entries of all partitions of
+    that rank under that charge, in ``partitions_of`` order; the first
+    charge at which the chunk meets a rank gets full builds and the others
+    shifted copies.  ``blocks`` maps a packed residue key to (members,
+    signatures); the signatures dict keeps each distinct (defect, hook
+    count) pair once, in order of first appearance."""
 
-    def __init__(self, l: int, n: int, e: int, charges: tuple, m: int):
-        self.l, self.n, self.e, self.charges, self.m = l, n, e, charges, m
+    def __init__(self, n: int, e: int, charges: tuple, m: int):
+        self.n, self.e, self.charges, self.m = n, e, charges, m
         self.parts: dict = {}
         self.blocks: dict = {}
 
-    def run(self, start: int, stop: int) -> dict:
-        """Walk the members start..stop-1 in enumeration order: skip whole
-        rank vectors by their member counts, then clip each level.  Only
-        the entries the clipped levels reach are made.  The keys are
-        unpacked into tuples once per block."""
-        l = self.l
-        offset = 0
-        for ranks in rank_vectors(self.n, l):
-            counts = [len(partitions_of(k)) for k in ranks]
-            size = prod(counts)
-            lo, hi = max(start - offset, 0), min(stop - offset, size)
-            offset += size
-            if lo < hi:
-                strides = [prod(counts[c + 1 :]) for c in range(l)]
-                cols = [
-                    self.column(k, s, stride, lo, hi)
-                    for k, s, stride in zip(ranks, self.charges, strides)
-                ]
-                self.walk(cols, strides, 0, lo, hi, "", 0, 0, 0, ())
-            if offset >= stop:
-                break
+    def run(self, vectors) -> dict:
+        """Walk every member of these rank vectors in enumeration order,
+        each vector whole, and unpack the keys into tuples once per
+        block."""
+        for ranks in vectors:
+            self.walk([self.column(k, s) for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
         bits = self.n.bit_length()
         mask = (1 << bits) - 1
         return {
@@ -290,30 +275,19 @@ class _Chunk:
             for key, block in self.blocks.items()
         }
 
-    def column(self, k: int, s: int, stride: int, lo: int, hi: int) -> list:
-        """The entries of the partitions of k under the charge s, in
-        ``partitions_of`` order, with every one that the members lo..hi-1
-        reach made."""
+    def column(self, k: int, s: int) -> list:
+        """The entries of all partitions of k under the charge s, in
+        ``partitions_of`` order: shifted from the column of another charge
+        this chunk has made, or built in full if there is none."""
         col = self.parts.get((k, s))
         if col is None:
-            col = self.parts[k, s] = [None] * len(partitions_of(k))
-        length = len(col)
-        first = lo // stride
-        for j in range(first, min((hi - 1) // stride + 1, first + length)):
-            i = j % length
-            if col[i] is None:
-                col[i] = self.entry(k, i, s)
+            made = next((base for base in self.charges if (k, base) in self.parts), None)
+            if made is None:
+                col = [_component(p, s, self.e, self.m, self.n) for p in partitions_of(k)]
+            else:
+                col = [_shift(entry, s - made, self.e, self.n) for entry in self.parts[k, made]]
+            self.parts[k, s] = col
         return col
-
-    def entry(self, k: int, i: int, s: int) -> _Entry:
-        """The entry of the i-th partition of k under the charge s: shifted
-        from one this chunk has made under another charge, or built in full
-        if there is none."""
-        for base in self.charges:
-            made = self.parts.get((k, base))
-            if made and made[i]:
-                return _shift(made[i], s - base, self.e, self.n)
-        return _component(partitions_of(k)[i], s, self.e, self.m, self.n)
 
     def open_block(self, key: int, signature: tuple, text: str) -> tuple:
         """A new block from the first member the chunk meets, with that
@@ -333,18 +307,17 @@ class _Chunk:
         block = self.blocks[key] = ([], {signature: None, checked: None})
         return block
 
-    def walk(self, cols, strides, c, lo, hi, text, key, defect, hook_count, chosen):
-        """The members lo..hi-1 below the components chosen before c, whose
-        prefix sums are the other arguments and whose ``cross`` tuples are
-        `chosen`.  Component c adds its own pair terms and, with each
-        chosen component a, the pairs (a, c) and (c, a) of each route: rows
-        of one against shifts of the other, and the beads of a against Q
-        of c and those of c against P of a."""
-        entries, stride, last = cols[c], strides[c], len(cols) - 1
+    def walk(self, cols, c, text, key, defect, hook_count, chosen):
+        """The members below the components chosen before c, whose prefix
+        sums are the other arguments and whose ``cross`` tuples are
+        `chosen`.  Component c runs over its whole column and adds its own
+        pair terms and, with each chosen component a, the pairs (a, c) and
+        (c, a) of each route: rows of one against shifts of the other, and
+        the beads of a against Q of c and those of c against P of a."""
+        last = len(cols) - 1
         blocks = self.blocks
-        for i in range(lo // stride, (hi - 1) // stride + 1):
-            (t, k, d, h, gap_c, above_c, q_sums_c, q_c, rows_c, shifts_c,
-             cross, _, _) = entries[i]
+        for (t, k, d, h, gap_c, above_c, q_sums_c, q_c, rows_c, shifts_c,
+             cross, _, _) in cols[c]:
             d += defect
             h += hook_count
             for gap_a, above_a, p_sums_a, p_a, rows_a, shifts_a in chosen:
@@ -355,11 +328,7 @@ class _Chunk:
                 )
             k += key
             if c < last:
-                base = i * stride
-                self.walk(
-                    cols, strides, c + 1, max(lo - base, 0), min(hi - base, stride),
-                    text + t + "|", k, d, h, chosen + (cross,),
-                )
+                self.walk(cols, c + 1, text + t + "|", k, d, h, chosen + (cross,))
                 continue
             member = text + t
             members, signatures = blocks.get(k) or self.open_block(k, (d, h), member)
@@ -368,8 +337,8 @@ class _Chunk:
 
 
 def _scan_chunk(args) -> dict:
-    l, n, e, charges, m, start, stop = args
-    return _Chunk(l, n, e, charges, m).run(start, stop)
+    n, e, charges, m, vectors = args
+    return _Chunk(n, e, charges, m).run(vectors)
 
 
 def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
@@ -377,9 +346,12 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     decide each block by the rule in the module docstring, reporting its
     defect from its first signature.  The multicharge is normalised into the
     fundamental domain first, and the abacus window is
-    n + max(normalised charges) + 1.  The members are cut into at most
-    ``jobs`` chunks, and at most ``os.cpu_count()``; a single chunk runs
-    in this process, more run in a pool with one worker per chunk."""
+    n + max(normalised charges) + 1.  The rank vectors are cut into at
+    most k = min(jobs, ``os.cpu_count()``) contiguous runs: a vector whose
+    first member has index i, counted from the partition numbers, goes
+    whole to chunk i*k // members, and empty chunks are dropped.  A single
+    chunk runs in this process, more run in a pool with one worker per
+    chunk."""
     if l < 1:
         raise ValueError("level must be at least 1")
     if n < 0:
@@ -393,12 +365,14 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     norm, _ = abacus.normalize_multicharge(charges, e)
     m = n + max(norm) + 1
 
-    total = count_multipartitions(l, n)
-    size = -(-total // min(jobs, os.cpu_count() or 1))
-    chunks = [
-        (l, n, e, norm, m, start, min(start + size, total))
-        for start in range(0, total, size)
-    ]
+    # each rank vector goes whole to the chunk where its first member falls
+    jobs = min(jobs, os.cpu_count() or 1)
+    total, before = count_multipartitions(l, n), 0
+    shares: list = [[] for _ in range(jobs)]
+    for ranks in rank_vectors(n, l):
+        shares[before * jobs // total].append(ranks)
+        before += prod(len(partitions_of(k)) for k in ranks)
+    chunks = [(n, e, norm, m, share) for share in shares if share]
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]
     else:

@@ -258,7 +258,7 @@ def test_hook_table_matches_the_recurrence():
     # beads above a packed run; the first two runners are empty, the second
     # with no gap at all
     rng = random.Random(11)
-    cases = [((), -3, 3, 2, None), ((), -3, 3, 2, 3)]
+    cases = [((), -3, 3, 2, -4), ((), -3, 3, 2, 3)]
     for _ in range(400):
         e, base = rng.randint(2, 6), rng.randint(-8, 2)
         top = base + rng.randint(0, 20)
@@ -266,7 +266,7 @@ def test_hook_table_matches_the_recurrence():
         beads = sorted(rng.sample(range(full + 1, top + 1), rng.randint(0, top - full)))
         cases.append((tuple(reversed(beads)), base, top, e, full))
     for beads, base, top, e, full in cases:
-        packed = range(base, base if full is None else full + 1)
+        packed = range(base, full + 1)
         occupied = set(beads).union(packed)
         gap = [int(base + i not in occupied) for i in range(top - base + 1)]
         p = [sum(gap[j] for j in range(i - e, -1, -e)) for i in range(len(gap))]
@@ -280,7 +280,7 @@ def test_hook_table_matches_the_recurrence():
         )
         assert hook_table(beads, base, top, e, full) == expected, (beads, base, top, e, full)
         # the same runner given by all its beads at or above base
-        assert hook_table(sorted(occupied, reverse=True), base, top, e) == expected
+        assert hook_table(sorted(occupied, reverse=True), base, top, e, base - 1) == expected
 
 
 def test_in_fundamental_domain():

@@ -6,7 +6,7 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, permutations, product
+from itertools import combinations_with_replacement, groupby, permutations, product
 
 import pytest
 
@@ -21,6 +21,7 @@ from cycloschur.partitions import (
     format_multipartition,
     parse_multipartition,
     partitions_of,
+    rank_vectors,
 )
 from cycloschur.scanning import BlockReport, ScanReport, scan
 from cycloschur.schur import defect_integer
@@ -444,6 +445,17 @@ def test_scan_validates_p_before_output(tmp_path, capsys):
     assert not csv_path.exists()
 
 
+@pytest.mark.parametrize("json_output", [False, True])
+def test_scan_refuses_p_without_csv(tmp_path, capsys, json_output):
+    # orbit sizes go only to the CSV, so --p alone is refused before any
+    # file is opened, not ignored
+    json_path = tmp_path / "r.json"
+    argv = ["scan", "--l", "2", "--n", "2", "--e", "2", "--p", "2"]
+    code, out, err = run(capsys, *argv, *(["--json", str(json_path)] if json_output else []))
+    assert (code, out, err) == (2, "", "error: --p needs --csv\n")
+    assert not json_path.exists()
+
+
 @pytest.mark.parametrize("flag", ["--csv", "--json"])
 def test_scan_unwritable_path_exits_2(tmp_path, capsys, flag):
     missing = tmp_path / "missing" / "x.out"
@@ -611,7 +623,7 @@ def test_scan_builds_one_hook_table_per_component(monkeypatch):
     calls = []
     real_table, real_chunk = abacus.hook_table, scanning._scan_chunk
 
-    def counting(beads, base, top, e, full=None):
+    def counting(beads, base, top, e, full):
         # the partition, read back from its row beads and the top of its
         # packed run
         s = full + len(beads)
@@ -626,15 +638,10 @@ def test_scan_builds_one_hook_table_per_component(monkeypatch):
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
-    members = list(enumerate_multipartitions(2, 5))
     for jobs in (1, 2):
         calls.clear()
         assert scan(2, 5, 2, (0, 1), jobs=jobs).violations == 0
-        size = -(-len(members) // jobs)
-        met = [
-            sorted({p for mp in members[start : start + size] for p in mp})
-            for start in range(0, len(members), size)
-        ]
+        met = [sorted({p for mp in members for p in mp}) for members in chunk_members(2, 5, jobs)]
         assert [sorted(chunk) for chunk in calls] == met, jobs
 
 
@@ -669,9 +676,9 @@ def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
     chunks = []
     real_run = scanning._Chunk.run
 
-    def recording(self, start, stop):
-        chunks.append((self, start, stop))
-        return real_run(self, start, stop)
+    def recording(self, vectors):
+        chunks.append((self, vectors))
+        return real_run(self, vectors)
 
     monkeypatch.setattr(scanning._Chunk, "run", recording)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
@@ -683,14 +690,18 @@ def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
                 chunks.clear()
                 scan(l, n, e, charges, jobs=jobs)
                 members = list(enumerate_multipartitions(l, n))
-                for chunk, start, stop in chunks:
+                for chunk, vectors in chunks:
                     made = {
                         (partitions_of(k)[i], s): entry
                         for (k, s), col in chunk.parts.items()
                         for i, entry in enumerate(col)
-                        if entry is not None
                     }
-                    used = {pair for mp in members[start:stop] for pair in zip(mp, charges)}
+                    used = {
+                        pair
+                        for mp in members
+                        if tuple(p.rank for p in mp) in vectors
+                        for pair in zip(mp, charges)
+                    }
                     assert made.keys() == used, (l, n, e, charges, jobs)
                     shifted += len(made) - len({p for p, _ in made})
                     for (p, s), entry in made.items():
@@ -704,7 +715,9 @@ def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):
     # component is 2.1 at charge 0, that is for 2.1|0 alone: its block
     # gets a second signature and a route that disagrees
     real = abacus.sum_hook_tables
-    marked = abacus.hook_table(multi_beta(parse_multipartition("2.1|0"), (0, 1), 5).runners[0], -4, 4, 2)
+    marked = abacus.hook_table(
+        multi_beta(parse_multipartition("2.1|0"), (0, 1), 5).runners[0], -4, 4, 2, -5
+    )
 
     def broken(tables):
         return real(tables) + (tables[0] == marked)
@@ -817,6 +830,18 @@ class SerialPool:
         return map(fn, items)
 
 
+def chunk_members(l, n, jobs):
+    """The members of each chunk of a level-l rank-n scan cut `jobs` ways,
+    listed: the members of one rank vector go together to chunk
+    i * jobs // total, where i is the index of the first of them."""
+    members = list(enumerate_multipartitions(l, n))
+    chunks = {}
+    for _, run in groupby(enumerate(members), key=lambda item: [p.rank for p in item[1]]):
+        run = list(run)
+        chunks.setdefault(run[0][0] * jobs // len(members), []).extend(mp for _, mp in run)
+    return list(chunks.values())
+
+
 def test_scan_merge_flags_chunk_mismatch(monkeypatch):
     # only the second chunk builds its entries with the defect pair term one
     # too high; a block met by both chunks gets a clean signature from the
@@ -849,13 +874,15 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
 
 
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
-    # at most one worker per chunk and at most os.cpu_count() chunks; the
-    # pool is the in-process double, so no process is started
+    # at most one worker per nonempty chunk and at most os.cpu_count()
+    # chunks; the pool is the in-process double, so no process is started
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     cases = [
-        (64, 1, 1, 8, []),  # one member, one chunk: no pool
-        (64, 2, 3, 64, [count_multipartitions(2, 3)]),  # one worker per member
-        (4, 2, 3, 64, [4]),
+        (64, 1, 1, 8, []),  # one rank vector, one chunk: no pool
+        (2, 1, 6, 2, []),  # 11 members, still one rank vector
+        (64, 2, 3, 64, [4]),  # one worker per rank vector
+        # the 4 vectors of 3, 2, 2 and 3 members go to chunks 0, 1, 2, 2
+        (4, 2, 3, 64, [3]),
         (3, 2, 6, 20000, [3]),
         (None, 2, 3, 64, []),  # an unknown CPU count counts as one
     ]
@@ -890,11 +917,9 @@ def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
-    members = list(enumerate_multipartitions(2, 6))
-    size = -(-len(members) // jobs)
     keys = sum(
-        len({residue_vector(mp, (0, 1), 2) for mp in members[start : start + size]})
-        for start in range(0, len(members), size)
+        len({residue_vector(mp, (0, 1), 2) for mp in members})
+        for members in chunk_members(2, 6, jobs)
     )
     # with two chunks some block is met by both
     assert (keys > len(report.blocks)) == (jobs > 1)
@@ -919,12 +944,10 @@ def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, job
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
-    members = list(enumerate_multipartitions(2, 6))
-    size = -(-len(members) // jobs)
     firsts = []
-    for start in range(0, len(members), size):
+    for members in chunk_members(2, 6, jobs):
         keys = set()
-        for mp in members[start : start + size]:
+        for mp in members:
             key = residue_vector(mp, (0, 1), 2)
             if key not in keys:
                 keys.add(key)
@@ -933,10 +956,9 @@ def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, job
     assert built == firsts
 
 
-def test_scan_cuts_at_every_member_index(monkeypatch):
-    # 51 members: with jobs = 51 every chunk holds one member, and the other
-    # job counts cut inside and between rank vectors at other offsets; each
-    # chunk starts by unranking its first member
+def test_scan_cuts_at_every_rank_vector_boundary(monkeypatch):
+    # 51 members in 15 rank vectors: with jobs = 51 every chunk holds one
+    # vector, and the other job counts cut between vectors at other places
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
     assert count_multipartitions(3, 4) == 51
@@ -945,6 +967,30 @@ def test_scan_cuts_at_every_member_index(monkeypatch):
         report = scan(3, 4, 2, (0, 0, 1), jobs=jobs)
         assert report == expected, jobs
         assert report.to_text() == expected.to_text(), jobs
+
+
+def test_scan_chunks_are_runs_of_whole_rank_vectors(monkeypatch):
+    # each chunk walks a contiguous run of whole rank vectors, each vector
+    # in the chunk where its first member falls, and no chunk is empty
+    runs = []
+    real_run = scanning._Chunk.run
+
+    def recording(self, vectors):
+        runs.append(list(vectors))
+        return real_run(self, vectors)
+
+    monkeypatch.setattr(scanning._Chunk, "run", recording)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
+    for l, n, jobs in product((1, 2, 3), range(7), (1, 2, 3, 5, 64)):
+        runs.clear()
+        scan(l, n, 3, tuple(range(l)), jobs=jobs)
+        expected = [
+            list(dict.fromkeys(tuple(p.rank for p in mp) for mp in members))
+            for members in chunk_members(l, n, jobs)
+        ]
+        assert runs == expected, (l, n, jobs)
+        assert sum(runs, []) == list(rank_vectors(n, l)), (l, n, jobs)
 
 
 @pytest.mark.parametrize("field", ["defect", "hook_count"])

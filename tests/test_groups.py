@@ -64,27 +64,27 @@ def test_orbit_stabilizer_product():
 
 
 def test_orbit_of_component_texts_matches_sigma():
-    # the CSV passes component texts; the reference walks sigma until it returns
+    # the CSV passes the member text, its component texts joined by "|";
+    # the reference walks sigma until it returns
     for d, p in [(1, 2), (1, 3), (2, 2), (1, 4), (2, 3)]:
         for n in range(0, 4):
             for mp in enumerate_multipartitions(d * p, n):
                 size, current = 1, sigma(mp, d)
                 while current != mp:
                     size, current = size + 1, sigma(current, d)
-                texts = format_multipartition(mp).split("|")
-                assert orbit(texts, d, p) == size
+                assert orbit(format_multipartition(mp), d, p) == size
                 assert orbit(mp, d, p) == size
 
 
 def test_orbit_of_member_text_matches_other_forms():
-    # the text, the Multipartition and the component texts give one size,
-    # also with empty components, which are written "0"
+    # the text and the Multipartition give one size, also with empty
+    # components, which are written "0"
     for d, p in [(1, 1), (1, 2), (1, 3), (2, 2), (1, 4), (2, 3), (3, 2), (1, 5), (1, 6), (6, 1)]:
         for n in range(0, 4):
             for mp in enumerate_multipartitions(d * p, n):
                 text = format_multipartition(mp)
                 size = orbit(text, d, p)
-                assert size == orbit(mp, d, p) == orbit(text.split("|"), d, p)
+                assert size == orbit(mp, d, p)
     assert orbit("0|0|0|0", 1, 4) == 1
     assert orbit("1|0|1|0", 1, 4) == 2
     assert orbit("1|0|0|1|0|0", 1, 6) == 3
