@@ -13,30 +13,31 @@ it is a violation if its members leave more than one signature, if the
 four routes differ, or if another block has the same core and core
 multicharge.
 
-Each worker keeps one entry per (partition, charge) it uses, and makes
-none it does not use: text, residue counts packed into one int, the
-divisible-hook table of ``abacus.hook_table``, the column tables of
-``schur.column_tables`` and the component's own pair term of both member
-routes.  The first charge a worker meets a partition at gets a full
-build, which gives ``hook_table`` only the row beads and the top of the
-packed run.  The other charges get copies shifted from an entry already
-made: raising the charge by t moves every bead up t places, so the hook
-table's lists slide by t and the residue classes rotate by t, and a
-copy sums its own pair terms again from its shifted tables.  The worker
-keeps its entries in whole columns by rank and charge, in
-``partitions_of`` order, which is how the walk reads them.  The worker
+Each worker builds one entry per (partition, charge) its members use:
+the text, the packed residue counts and three ints in B-bit slots, laid
+out by ``_Layout`` as n*e defect slots (column j < n, residue r < e)
+and then 2m - 1 hook slots (window positions 1 - m to m - 1).  vp and
+vq hold the prefix row-residue counts R[lam'_j][r] of
+``schur.column_tables``, then the P and Q of ``abacus.hook_table``;
+mask is all ones at (j, shift_j) and at the beads.  So each cross term,
+one component's rows read at the other's shifts or its beads read
+against the other's P or Q, is the slot sum of one AND.  The worker
 walks each rank vector of ``rank_vectors`` as nested loops over whole
-columns, the leftmost component slowest as in
-``enumerate_multipartitions``, and each level carries the
-prefix sums of the components before it: text, packed residue key,
-defect and hook count, and the cross-term tuples of the chosen entries.
-A member adds only its last component: its own pair terms and, per
-route, two cross terms with each earlier component.  The first member
-of a block that a worker meets is also run through the member-level
-routes (``schur.defect_integer`` and ``abacus.sum_hook_tables``) as a
-second signature, so a fault of the nested sums leaves two.  A chunk of
-the enumeration is a run of whole rank vectors, each walked whole, and
-it unpacks its keys into tuples once per block.  The partial blocks are
+columns of entries, the leftmost component slowest as in
+``enumerate_multipartitions``, and each level carries the text, the
+key, the packed pair terms x of the components before it, the sum vps
+of their vp, and their masks.  Component c adds (vps + vp_c) & mask_c,
+its own pair (c, c) and every vp_a & mask_c at once, and vq_c & mask_a
+for each earlier a.  A member's hook count is h = (x >> B n e) mod
+(2^B - 1) and its defect x mod (2^B - 1) - h.  This is exact because
+B = (T + 1).bit_length() for a bound T on the slot total of any member
+(``_slot_bits``), so no slot carries.  The first member of a block that
+a worker meets is also run through the member-level routes
+(``schur.defect_integer``, and ``abacus.sum_hook_tables`` over the
+window) from tables built for it alone: a second signature that shares
+no data with the walk, so a fault of the entries or the walk leaves
+two.  A chunk of the enumeration is a run of whole rank vectors, and it
+unpacks its keys into tuples once per block.  The partial blocks are
 merged in enumeration order, so the output is byte-identical for any
 worker count.
 """
@@ -48,7 +49,7 @@ import os
 from collections import Counter
 from math import prod
 from itertools import accumulate, count
-from operator import getitem, lshift
+from operator import getitem, sub
 from typing import NamedTuple
 
 from . import abacus, schur, weights
@@ -146,104 +147,107 @@ class ScanReport(NamedTuple):
         return "\n".join(lines)
 
 
-class _Entry(NamedTuple):
-    """Everything a member needs from one of its components under its
-    charge, and that component's own pair terms of both routes.  The walk
-    reads the fields up to ``cross``; ``hooks`` and ``tables`` feed the
-    member-level routes and the shifted copies."""
+def _slot_bits(l: int, n: int, e: int, m: int) -> int:
+    """The slot width B of the packed entries of a level-l rank-n scan in
+    the window m > n: (T + 1).bit_length() for the bound
 
-    text: str
-    key: int  # weights.residue_counts, packed by _pack
-    defect: int  # the pair (c, c) of schur.defect_integer
-    hook_count: int  # the pair (c, c) of abacus.sum_hook_tables
-    # what the component reads against the earlier ones: the lowest gap,
-    # the beads above it, the Q sums and lookup, the rows and the shifts
-    gap: int
-    above: tuple
-    q_sums: list
-    q_at: object
-    rows: list
-    shifts: list
-    # what a later component reads against this one: the same with P
-    cross: tuple
-    hooks: tuple  # abacus.hook_table over the window
-    tables: tuple  # schur.column_tables
+        T = l^2 (n + w (w // e + 1)),  w = 2m - 1,
+
+    of the slot total of any member.  Each of the l^2 ordered pairs adds
+    at most n to the defect slots, one R_a[lam'_j][r] <= lam'_j per column
+    of a component of rank at most n, and at most w (w // e + 1) to the
+    hook slots, one P or Q value per bead in the window, each counting
+    the gaps of one class at or below a position.  So T < 2^B - 1, and no
+    slot, of a member or of the sum of l entries (at most l max(n,
+    w // e + 1) <= T), carries into the next."""
+    if l < 1 or n < 0 or e < 2 or m <= n:
+        raise ValueError("a packed layout needs l >= 1, n >= 0, e >= 2 and a window m > n")
+    w = 2 * m - 1
+    return (l * l * (n + w * (w // e + 1)) + 1).bit_length()
 
 
-def _pack(counts, bits: int) -> int:
-    """The residue counts as one int, `bits` bits per class, so that
-    adding packed keys adds the counts class by class."""
-    return sum(map(lshift, counts, count(0, bits)))
+class _Layout:
+    """The slots of a level-l rank-n scan in the window m: slot j*e + r is
+    column j and residue r, slot n*e + y the window position 1 - m + y,
+    from bit ``split`` = B n e on.  An entry sums one term per row, from
+    the tables [part][y] of the row's bead y, and one term each from the
+    tables of the lowest gap and of the charge."""
+
+    def __init__(self, l: int, n: int, e: int, m: int):
+        bits = self.bits = _slot_bits(l, n, e, m)
+        self.n, self.e, self.m = n, e, m
+        self.split = bits * n * e
+        self.ones = ones = (1 << bits) - 1
+        w, base, key_bits = 2 * m - 1, 1 - m, n.bit_length()
+
+        def slot(x: int) -> int:
+            return ones << bits * x
+
+        # the defect region: rep[k] has a 1 in residue 0 of the columns
+        # j < k, and run[c][k] fills the slot of residue j + c of them
+        rep = list(accumulate((1 << bits * j * e for j in range(n)), initial=0))
+        run = [
+            list(accumulate((slot(j * e + (j + c) % e) for j in range(n)), initial=0))
+            for c in range(e)
+        ]
+        # the hook region: comb[y] has a 1 at y, y + e, ... in the window,
+        # and a gap at y adds comb[y + e] to P.  The gap table counts every
+        # position from the lowest gap up as a gap, and each row's table
+        # takes its bead back out.  Q is P plus a 1 at each gap
+        comb = [0] * (w + e)
+        for y in reversed(range(w)):
+            comb[y] = comb[y + e] + (1 << bits * (n * e + y))
+        self.gaps = list(accumulate(reversed(comb[e:]), initial=0))[::-1]
+        self.units = sum(comb[:e])
+        self.full = [((1 << bits * y) - 1) << self.split for y in range(w + 1)]
+        self.free = [run[c][n] for c in range(e)]
+        # a row of k boxes from residue r: runs[k][r], one count per box
+        runs = [[0] * e]
+        for k in range(n):
+            runs.append([x + (1 << key_bits * ((r + k) % e)) for r, x in enumerate(runs[-1])])
+        self.vp, self.mask, self.key = [], [], []
+        for k in range(n + 1):
+            # the row i (from 1) of part k whose bead sits at y has the
+            # residue y + base - 1, counted in R by the columns j < k.  The
+            # mask of the empty partition, free[s % e], has column j at
+            # residue j + s, and the row moves its columns j < k from
+            # j + c + 1 to j + c, where c = s - i = y + base - k - 1
+            defect = [rep[k] << bits * ((y + base - 1) % e) for y in range(w)]
+            self.vp.append([d - comb[y + e] for y, d in enumerate(defect)])
+            self.mask.append(
+                [
+                    run[(y + base - k - 1) % e][k] - run[(y + base - k) % e][k] + slot(n * e + y)
+                    for y in range(w)
+                ]
+            )
+            # the row's boxes take the residues y + base - k, ..., y + base - 1
+            self.key.append([runs[k][(y + base - k) % e] for y in range(w)])
 
 
-def _record(text: str, key: int, hooks: tuple, tables: tuple) -> _Entry:
-    """The entry with these tables, its own pair terms summed from them."""
-    gap, above, (p_values, p_sums), (q_values, q_sums) = hooks
-    rows, shifts = tables
-    p_at = p_values.__getitem__
-    return _Entry(
-        text,
-        key,
-        sum(map(getitem, rows, shifts)),
-        p_sums[gap] + sum(map(p_at, above)),
-        gap,
-        above,
-        q_sums,
-        q_values.__getitem__,
-        rows,
-        shifts,
-        (gap, above, p_sums, p_at, rows, shifts),
-        hooks,
-        tables,
+def _component(p, s: int, layout: _Layout) -> tuple:
+    """The entry of the partition p under the charge s: (text, key, vp,
+    vq, mask).  The key packs ``weights.residue_counts``, n.bit_length()
+    bits per class.  vp and vq hold the prefix row-residue counts
+    R[lam'_j][r] of ``schur.column_tables`` in their defect slots, and the
+    P and Q of ``abacus.hook_table`` over the window in their hook slots.
+    mask is all ones at (j, shift_j) for every column j < n and at every
+    bead in the window.  Row i's bead sits at p_i - i + s, window index
+    p_i - i + s + m - 1 (i from 0), and the window is full below the
+    index s - len(p) + m, the lowest gap."""
+    ys = list(map(sub, p, count(1 - layout.m - s)))
+    gap = s - len(p) + layout.m
+    vp = layout.gaps[gap] + sum(map(getitem, map(layout.vp.__getitem__, p), ys))
+    mask = (
+        layout.full[gap]
+        + layout.free[s % layout.e]
+        + sum(map(getitem, map(layout.mask.__getitem__, p), ys))
     )
-
-
-def _component(p, s: int, e: int, m: int, width: int) -> _Entry:
-    """The entry of the partition p under the charge s, built in full; the
-    runner is given to ``abacus.hook_table`` by its row beads and the top
-    of its packed run."""
-    hooks = abacus.hook_table(
-        [part - j + s for j, part in enumerate(p)], 1 - m, m - 1, e, full=s - len(p)
-    )
-    return _record(
+    return (
         format_partition(p),
-        _pack(weights.residue_counts(p, s, e), width.bit_length()),
-        hooks,
-        schur.column_tables(p, s, e, width),
-    )
-
-
-def _shift(entry: _Entry, t: int, e: int, width: int) -> _Entry:
-    """The entry of the same partition under the charge raised by t, for
-    |t| < e.  Every bead moves up t places in the fixed window: the P, Q
-    and sums lists slide by t, a residue class r becomes r + t, so the
-    residue counts and the row tuples rotate and each shift grows by t."""
-    gap, above, (p, p_sums), (q, q_sums) = entry.hooks
-    rows, shifts = entry.tables
-    if t > 0:
-        pad = [0] * t
-        p, p_sums, q, q_sums = pad + p[:-t], pad + p_sums[:-t], pad + q[:-t], pad + q_sums[:-t]
-    elif t < 0:
-        # the runner's lowest gap lies above index u = -t, so the lists
-        # lose only zeros at the bottom.  The u positions that come in at
-        # the top are gaps, and as u < e the position one class step
-        # below each is still in the old lists: P there is that Q, and Q
-        # one more
-        size, u = len(q), -t
-        q_top = [q[i - e + u] + 1 if i >= e else 1 for i in range(size - u, size)]
-        p_top = [x - 1 for x in q_top]
-        p, q = p[u:] + p_top, q[u:] + q_top
-        p_sums = p_sums[u:] + list(accumulate(p_top, initial=p_sums[-1]))[1:]
-        q_sums = q_sums[u:] + list(accumulate(q_top, initial=q_sums[-1]))[1:]
-    r, bits = t % e, width.bit_length()
-    low = bits * (e - r)
-    key = entry.key >> low | (entry.key & ((1 << low) - 1)) << (bits * r)
-    turn = [*range(r, e), *range(r)]
-    return _record(
-        entry.text,
-        key,
-        (gap + t, tuple([x + t for x in above]), (p, p_sums), (q, q_sums)),
-        ([row[-r:] + row[:-r] for row in rows], list(map(turn.__getitem__, shifts))),
+        sum(map(getitem, map(layout.key.__getitem__, p), ys)),
+        vp,
+        vp + (layout.units & ~mask),
+        mask,
     )
 
 
@@ -251,14 +255,14 @@ class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
     ``parts`` maps a rank and a charge to the entries of all partitions of
-    that rank under that charge, in ``partitions_of`` order; the first
-    charge at which the chunk meets a rank gets full builds and the others
-    shifted copies.  ``blocks`` maps a packed residue key to (members,
-    signatures); the signatures dict keeps each distinct (defect, hook
-    count) pair once, in order of first appearance."""
+    that rank under that charge, in ``partitions_of`` order.  ``blocks``
+    maps a packed residue key to (members, signatures); the signatures
+    dict keeps each distinct (defect, hook count) pair once, in order of
+    first appearance."""
 
     def __init__(self, n: int, e: int, charges: tuple, m: int):
         self.n, self.e, self.charges, self.m = n, e, charges, m
+        self.layout = _Layout(len(charges), n, e, m)
         self.parts: dict = {}
         self.blocks: dict = {}
 
@@ -277,59 +281,49 @@ class _Chunk:
 
     def column(self, k: int, s: int) -> list:
         """The entries of all partitions of k under the charge s, in
-        ``partitions_of`` order: shifted from the column of another charge
-        this chunk has made, or built in full if there is none."""
+        ``partitions_of`` order, built once per chunk."""
         col = self.parts.get((k, s))
         if col is None:
-            made = next((base for base in self.charges if (k, base) in self.parts), None)
-            if made is None:
-                col = [_component(p, s, self.e, self.m, self.n) for p in partitions_of(k)]
-            else:
-                col = [_shift(entry, s - made, self.e, self.n) for entry in self.parts[k, made]]
-            self.parts[k, s] = col
+            col = self.parts[k, s] = [_component(p, s, self.layout) for p in partitions_of(k)]
         return col
 
     def open_block(self, key: int, signature: tuple, text: str) -> tuple:
         """A new block from the first member the chunk meets, with that
         member's signature and, as a second one, its defect and hook count
-        by the member-level routes over the entries of its components."""
+        by the member-level routes, from tables built for it alone."""
         mp = Multipartition(parse_partition(t) for t in text.split("|"))
-        entries = [
-            self.parts[p.rank, s][partitions_of(p.rank).index(p)]
-            for p, s in zip(mp, self.charges)
-        ]
+        m = self.m
+        runners = abacus.multi_beta(mp, self.charges, m).runners
         checked = (
-            schur.defect_integer(
-                mp, self.charges, self.e, tables=[entry.tables for entry in entries]
-            ),
-            abacus.sum_hook_tables([entry.hooks for entry in entries]),
+            schur.defect_integer(mp, self.charges, self.e),
+            abacus.sum_hook_tables([abacus.hook_table(r, 1 - m, m - 1, self.e, -m) for r in runners]),
         )
         block = self.blocks[key] = ([], {signature: None, checked: None})
         return block
 
-    def walk(self, cols, c, text, key, defect, hook_count, chosen):
+    def walk(self, cols, c, text, key, total, vps, masks):
         """The members below the components chosen before c, whose prefix
-        sums are the other arguments and whose ``cross`` tuples are
-        `chosen`.  Component c runs over its whole column and adds its own
-        pair terms and, with each chosen component a, the pairs (a, c) and
-        (c, a) of each route: rows of one against shifts of the other, and
-        the beads of a against Q of c and those of c against P of a."""
+        sums are the other arguments: the packed pair terms `total` of the
+        chosen components, the sum `vps` of their vp and their masks.
+        Component c adds its own term and, with each chosen component a,
+        the pairs (a, c) and (c, a) of both routes: vp_a & mask_c, summed
+        over a in one AND with its own vp_c & mask_c, and vq_c & mask_a.
+        A member's defect and hook count are the sums of the slots of its
+        two regions, read off mod 2^B - 1."""
         last = len(cols) - 1
         blocks = self.blocks
-        for (t, k, d, h, gap_c, above_c, q_sums_c, q_c, rows_c, shifts_c,
-             cross, _, _) in cols[c]:
-            d += defect
-            h += hook_count
-            for gap_a, above_a, p_sums_a, p_a, rows_a, shifts_a in chosen:
-                d += sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
-                h += (
-                    q_sums_c[gap_a] + sum(map(q_c, above_a))
-                    + p_sums_a[gap_c] + sum(map(p_a, above_c))
-                )
+        split, ones = self.layout.split, self.layout.ones
+        for t, k, vp, vq, mask in cols[c]:
+            v = vps + vp
+            x = total + (v & mask)
+            for mask_a in masks:
+                x += vq & mask_a
             k += key
             if c < last:
-                self.walk(cols, c + 1, text + t + "|", k, d, h, chosen + (cross,))
+                self.walk(cols, c + 1, text + t + "|", k, x, v, masks + (mask,))
                 continue
+            h = (x >> split) % ones
+            d = x % ones - h
             member = text + t
             members, signatures = blocks.get(k) or self.open_block(k, (d, h), member)
             signatures[d, h] = None

@@ -6,7 +6,8 @@ import os
 import random
 import subprocess
 import sys
-from itertools import combinations_with_replacement, groupby, permutations, product
+from itertools import combinations_with_replacement, groupby, product
+from operator import getitem
 
 import pytest
 
@@ -24,8 +25,8 @@ from cycloschur.partitions import (
     rank_vectors,
 )
 from cycloschur.scanning import BlockReport, ScanReport, scan
-from cycloschur.schur import defect_integer
-from cycloschur.weights import core, residue_vector, residue_weight
+from cycloschur.schur import column_tables, defect_integer
+from cycloschur.weights import core, residue_counts, residue_vector, residue_weight
 
 
 def run(capsys, *argv):
@@ -617,62 +618,123 @@ def test_scan_matches_member_by_member_reference(l, e):
 
 
 def test_scan_builds_one_hook_table_per_component(monkeypatch):
-    # each chunk builds one hook table per partition it meets, under the
-    # first charge it meets it at, and shifts it to the other charges; the
-    # chunks run in this process, so every chunk's calls are counted
+    # each chunk builds one entry per (partition, charge) its members use,
+    # and no other; the chunks run in this process, so every chunk's calls
+    # are counted
     calls = []
-    real_table, real_chunk = abacus.hook_table, scanning._scan_chunk
+    real_component, real_chunk = scanning._component, scanning._scan_chunk
 
-    def counting(beads, base, top, e, full):
-        # the partition, read back from its row beads and the top of its
-        # packed run
-        s = full + len(beads)
-        calls[-1].append(tuple(x + j - s for j, x in enumerate(beads)))
-        return real_table(beads, base, top, e, full)
+    def counting(p, s, layout):
+        calls[-1].append((p, s))
+        return real_component(p, s, layout)
 
     def chunk(args):
         calls.append([])
         return real_chunk(args)
 
-    monkeypatch.setattr(abacus, "hook_table", counting)
+    monkeypatch.setattr(scanning, "_component", counting)
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
         calls.clear()
         assert scan(2, 5, 2, (0, 1), jobs=jobs).violations == 0
-        met = [sorted({p for mp in members for p in mp}) for members in chunk_members(2, 5, jobs)]
-        assert [sorted(chunk) for chunk in calls] == met, jobs
+        used = [
+            sorted({pair for mp in members for pair in zip(mp, (0, 1))})
+            for members in chunk_members(2, 5, jobs)
+        ]
+        assert [sorted(chunk) for chunk in calls] == used, jobs
 
 
-def entry_fields(entry):
-    # a lookup compares by the list it reads
-    def plain(values):
-        return [getattr(value, "__self__", value) for value in values]
+def packed_slots(x, layout):
+    """The slots of a packed int: the defect region as one list per
+    column, then the hook region."""
+    bits, ones, n, e = layout.bits, layout.ones, layout.n, layout.e
+    values = [x >> bits * i & ones for i in range(n * e + 2 * layout.m - 1)]
+    return [values[j * e : (j + 1) * e] for j in range(n)], values[n * e :]
 
-    return plain(entry[:10]) + [plain(entry.cross), entry.hooks, entry.tables]
+
+def list_tables(p, s, layout):
+    """The column tables and the window's hook table of p under s."""
+    m = layout.m
+    beads = [part - j + s for j, part in enumerate(p)]
+    return (
+        column_tables(p, s, layout.e, layout.n),
+        abacus.hook_table(beads, 1 - m, m - 1, layout.e, s - len(p)),
+    )
 
 
-def test_shift_reaches_each_charge_from_each_other():
-    # up or down by every t with |t| < e, also in windows narrower than e,
-    # where the gaps a downward shift brings in at the top have no class
-    # step below them
-    for e, n in product(range(2, 7), range(5)):
-        for top in range(1, e):
-            m = n + top + 1
-            for p in (p for k in range(n + 1) for p in partitions_of(k)):
-                full = [scanning._component(p, s, e, m, n) for s in range(top + 1)]
-                for a, b in permutations(range(top + 1), 2):
-                    shifted = scanning._shift(full[a], b - a, e, n)
-                    assert entry_fields(shifted) == entry_fields(full[b]), (p, a, b, e, n)
+def test_packed_terms_match_the_list_tables():
+    # every (partition, charge) of the Tier-1 scan grids, windows narrower
+    # than e included: the packed entry's slots are the column tables and
+    # the hook table, its own term is the pair (c, c) of both routes, and
+    # the pair term of any two entries a, c is the pairs (a, c) and (c, a)
+    pairs = 0
+    for l, e in product((1, 2, 3), (2, 3, 4)):
+        for n, top in product(range(7), range(e)):
+            layout = scanning._Layout(l, n, e, n + top + 1)
+            entries = []
+            for p, s in product([p for k in range(n + 1) for p in partitions_of(k)], range(top + 1)):
+                _, key, vp, vq, mask = scanning._component(p, s, layout)
+                (rows, shifts), (gap, above, (p_vals, p_sums), (q_vals, q_sums)) = tables = (
+                    list_tables(p, s, layout)
+                )
+                assert key == sum(c << n.bit_length() * r for r, c in enumerate(residue_counts(p, s, e)))
+                padded = [list(row) for row in rows] + [[0] * e] * (n - len(rows))
+                assert packed_slots(vp, layout) == (padded, p_vals), (l, n, e, top, p, s)
+                assert packed_slots(vq, layout) == (padded, q_vals), (l, n, e, top, p, s)
+                ones = layout.ones
+                beads = [ones * (i < gap or i in above) for i in range(len(q_vals))]
+                columns = [[ones * (r == shift) for r in range(e)] for shift in shifts]
+                assert packed_slots(mask, layout) == (columns, beads), (l, n, e, top, p, s)
+                columns, window = packed_slots(vp & mask, layout)
+                assert sum(map(sum, columns)) == sum(map(getitem, rows, shifts))
+                assert sum(window) == p_sums[gap] + sum(map(p_vals.__getitem__, above))
+                entries.append((sum(p), vp, vq, mask, tables))
+            for (k_a, vp_a, _, mask_a, tables_a), (k_c, _, vq_c, mask_c, tables_c) in product(
+                entries, repeat=2
+            ):
+                if k_a + k_c > n:
+                    continue
+                (rows_a, shifts_a), (gap_a, above_a, (p_a, p_sums_a), _) = tables_a
+                (rows_c, shifts_c), (gap_c, above_c, _, (q_c, q_sums_c)) = tables_c
+                columns, window = packed_slots((vp_a & mask_c) + (vq_c & mask_a), layout)
+                assert sum(map(sum, columns)) == (
+                    sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
+                )
+                assert sum(window) == (
+                    q_sums_c[gap_a] + sum(map(q_c.__getitem__, above_a))
+                    + p_sums_a[gap_c] + sum(map(p_a.__getitem__, above_c))
+                )
+                pairs += 1
+    assert pairs > 0
+
+
+def test_slot_width_bounds_every_member():
+    # the member total T (scanning._slot_bits derives it) stays below
+    # 2^B - 1, so the mod 2^B - 1 read-out of each region is exact, and l
+    # times the largest slot of an entry (a row-residue count, at most n,
+    # or a P or Q value, at most w // e + 1) stays below 2^B, so the sum of
+    # the vp of l components never carries into the next slot
+    for l, n, e in product(range(1, 7), range(41), range(2, 9)):
+        for m in range(n + 1, n + e + 1):
+            w = 2 * m - 1
+            bits = scanning._slot_bits(l, n, e, m)
+            assert l * l * (n + w * (w // e + 1)) < (1 << bits) - 1, (l, n, e, m)
+            assert l * max(n, w // e + 1) < 1 << bits, (l, n, e, m)
+    for args in ((0, 3, 2, 4), (1, -1, 2, 1), (1, 3, 1, 4), (1, 3, 2, 3)):
+        with pytest.raises(ValueError):
+            scanning._slot_bits(*args)
+    # the widest slots of the Tier-1 grids, at the largest level, window and e
+    for l, n, e, charges in ((5, 5, 2, (0, 0, 1, 1, 1)), (2, 14, 7, (0, 6)), (4, 6, 5, (0, 1, 3, 4))):
+        assert scan(l, n, e, charges) == reference_scan(l, n, e, charges), (l, n, e, charges)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
-    # on every Tier-1 scan grid, each entry a chunk makes, whether shifted
-    # from another charge or built in full, equals the full build of its
-    # (partition, charge) field by field, and a chunk makes exactly the
-    # entries its members use
+    # no entry is shifted from another charge any more: on every Tier-1
+    # scan grid, a chunk makes exactly the entries its members use, each
+    # the build of its (partition, charge) in the scan's layout
     chunks = []
     real_run = scanning._Chunk.run
 
@@ -683,13 +745,13 @@ def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
     monkeypatch.setattr(scanning._Chunk, "run", recording)
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
-    shifted = 0
     for l, e in product((1, 2, 3), (2, 3, 4)):
         for charges in combinations_with_replacement(range(e), l):
             for n in range(7):
                 chunks.clear()
                 scan(l, n, e, charges, jobs=jobs)
                 members = list(enumerate_multipartitions(l, n))
+                layout = scanning._Layout(l, n, e, n + max(charges) + 1)
                 for chunk, vectors in chunks:
                     made = {
                         (partitions_of(k)[i], s): entry
@@ -703,11 +765,9 @@ def test_scan_shifted_entries_equal_full_builds(monkeypatch, jobs):
                         for pair in zip(mp, charges)
                     }
                     assert made.keys() == used, (l, n, e, charges, jobs)
-                    shifted += len(made) - len({p for p, _ in made})
                     for (p, s), entry in made.items():
-                        full = scanning._component(p, s, e, chunk.m, n)
-                        assert entry_fields(entry) == entry_fields(full), (p, s, l, n, e, charges, jobs)
-    assert shifted > 0
+                        full = scanning._component(p, s, layout)
+                        assert entry == full, (p, s, l, n, e, charges, jobs)
 
 
 def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):
@@ -843,9 +903,10 @@ def chunk_members(l, n, jobs):
 
 
 def test_scan_merge_flags_chunk_mismatch(monkeypatch):
-    # only the second chunk builds its entries with the defect pair term one
-    # too high; a block met by both chunks gets a clean signature from the
-    # first and a faulty one from the second, and the merge must keep both
+    # only the second chunk builds its entries with a masked defect slot of
+    # vp one too high, so each member's own defect term is; a block met by
+    # both chunks gets a clean signature from the first and a faulty one
+    # from the second, and the merge must keep both
     partials = []
     real_chunk, real_component = scanning._scan_chunk, scanning._component
 
@@ -856,8 +917,9 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
         return blocks
 
     def component(*args):
-        entry = real_component(*args)
-        return entry._replace(defect=entry.defect + 1) if partials else entry
+        text, key, vp, vq, mask = real_component(*args)
+        # the lowest masked slot is column 0's, in the defect region
+        return (text, key, vp + (mask & -mask) if partials else vp, vq, mask)
 
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
     monkeypatch.setattr(scanning, "_component", component)
@@ -995,17 +1057,19 @@ def test_scan_chunks_are_runs_of_whole_rank_vectors(monkeypatch):
 
 @pytest.mark.parametrize("field", ["defect", "hook_count"])
 def test_scan_flags_a_fault_in_the_nested_sums(monkeypatch, capsys, field):
-    # the cached pair (c, c) term of one route is one too high for 2.1 at
-    # charge 0, which sits at components 0 and 1: the member-level routes
-    # never read it, so every block holding a member with that component,
-    # and no other, gets a second signature
+    # a masked slot of the defect or the hook region of vp is one too high
+    # for 2.1 at charge 0, which sits at components 0 and 1, so its own pair
+    # (c, c) term of that route is: the member-level routes never read it,
+    # so every block holding a member with that component, and no other,
+    # gets a second signature
     real = scanning._component
 
-    def broken(p, s, *args):
-        entry = real(p, s, *args)
+    def broken(p, s, layout):
+        text, key, vp, vq, mask = real(p, s, layout)
         if (p, s) == ((2, 1), 0):
-            return entry._replace(**{field: getattr(entry, field) + 1})
-        return entry
+            region = mask if field == "defect" else mask >> layout.split << layout.split
+            vp += region & -region
+        return text, key, vp, vq, mask
 
     clean = scan(3, 5, 2, (0, 0, 1))
     affected = [
