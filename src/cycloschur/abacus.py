@@ -27,9 +27,7 @@ holds the runner's lowest gap k, its beads above k, P and Q = P + gap
 and their prefix sums, so the full region of a runner below its own k
 costs one lookup per runner.  ``count_divisible_hooks`` builds the
 tables from the lowest gap of all runners (``active_beads``), so its
-cost does not grow with the window; the scan builds one table per
-partition and worker from the window floor, from the row beads and the
-top of the packed run, and slides it to the partition's other charges.
+cost does not grow with the window.
 """
 
 from __future__ import annotations
@@ -333,13 +331,10 @@ def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
     return g, tuple(r[: s + 1 - g] for r, s in zip(cfg.runners, cfg.charges))
 
 
-def hook_table(beads: Sequence[int], base: int, top: int, e: int, full: int) -> tuple:
-    """The divisible-hook table of a runner which holds a bead at every
-    position up to `full` (at least base - 1) and, above it, the beads
-    `beads`, over the positions base to top: (k, above, (P, P sums),
-    (Q, Q sums)).  So a partition's runner is given by its row beads and
-    the top of its packed run, or with full = base - 1 by all its beads at
-    or above base.
+def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
+    """The divisible-hook table, over the positions base to top, of a
+    runner full below base whose beads at or above base are `beads`: (k,
+    above, (P, P sums), (Q, Q sums)).
 
     k is the index of the runner's lowest gap and `above` the indices of
     its beads above it, counted from base.  P[i] is the number of gaps
@@ -351,17 +346,15 @@ def hook_table(beads: Sequence[int], base: int, top: int, e: int, full: int) -> 
     size = top - base + 1
     if beads and not base <= min(beads) <= max(beads) <= top:
         raise ValueError(f"beads must lie in [{base}, {top}]")
-    lo = full + 1 - base
-    q = [0] * lo + [1] * (size - lo)
+    q = [1] * size
     for x in beads:
         q[x - base] = 0
     try:
-        k = q.index(1, lo)
+        k = q.index(1)
     except ValueError:
         k = size
-    # Q[i] = gap(i) + Q[i - e]: a running sum along each residue class,
-    # which stays 0 through the packed run
-    for r in range(lo, min(lo + e, size)):
+    # Q[i] = gap(i) + Q[i - e]: a running sum along each residue class
+    for r in range(min(e, size)):
         q[r::e] = accumulate(q[r::e])
     p = [0] * min(e, size) + q[:-e]
     above = tuple([x - base for x in beads if x - base > k])
@@ -392,7 +385,7 @@ def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     check_domain(cfg.charges, e)
     g, beads = active_beads(cfg)
     top = max((r[0] for r in beads if r), default=g - 1)
-    return sum_hook_tables([hook_table(r, g, top, e, g - 1) for r in beads])
+    return sum_hook_tables([hook_table(r, g, top, e) for r in beads])
 
 
 def normalize_multicharge(

@@ -32,14 +32,13 @@ for each earlier a.  A member's hook count is h = (x >> B n e) mod
 (2^B - 1) and its defect x mod (2^B - 1) - h.  This is exact because
 B = (T + 1).bit_length() for a bound T on the slot total of any member
 (``_slot_bits``), so no slot carries.  The first member of a block that
-a worker meets is also run through the member-level routes
-(``schur.defect_integer``, and ``abacus.sum_hook_tables`` over the
-window) from tables built for it alone: a second signature that shares
-no data with the walk, so a fault of the entries or the walk leaves
-two.  A chunk of the enumeration is a run of whole rank vectors, and it
-unpacks its keys into tuples once per block.  The partial blocks are
-merged in enumeration order, so the output is byte-identical for any
-worker count.
+a worker meets is also run through the member-level routes,
+``schur.defect_integer`` and ``abacus.count_divisible_hooks``: a second
+signature that shares no data with the walk, so a fault of the entries
+or the walk leaves two.  A chunk of the enumeration is a run of whole
+rank vectors, and it unpacks its keys into tuples once per block.  The
+partial blocks are merged in enumeration order, so the output is
+byte-identical for any worker count.
 """
 
 from __future__ import annotations
@@ -65,14 +64,6 @@ from .partitions import (
 )
 
 
-def _fields_from_json(cls, obj: dict) -> dict:
-    # JSON arrays come back as lists; every sequence field is a tuple
-    return {
-        name: tuple(value) if isinstance(value := obj[name], list) else value
-        for name in cls._fields
-    }
-
-
 class BlockReport(NamedTuple):
     """One proxy block: key, members in enumeration order, the residue
     weight, the defect of its first member, and the core and core charges
@@ -92,10 +83,6 @@ class BlockReport(NamedTuple):
     def to_json(self) -> dict:
         # tuples are written as JSON arrays, so nothing is copied
         return self._asdict()
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "BlockReport":
-        return cls(**_fields_from_json(cls, obj))
 
 
 class ScanReport(NamedTuple):
@@ -119,15 +106,6 @@ class ScanReport(NamedTuple):
 
     def to_json_str(self) -> str:
         return json.dumps(self.to_json(), indent=2, sort_keys=True)
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "ScanReport":
-        blocks = tuple(BlockReport.from_json(b) for b in obj["blocks"])
-        return cls(**{**_fields_from_json(cls, obj), "blocks": blocks})
-
-    @classmethod
-    def from_json_str(cls, text: str) -> "ScanReport":
-        return cls.from_json(json.loads(text))
 
     def to_text(self) -> str:
         lines = [
@@ -261,7 +239,7 @@ class _Chunk:
     first appearance."""
 
     def __init__(self, n: int, e: int, charges: tuple, m: int):
-        self.n, self.e, self.charges, self.m = n, e, charges, m
+        self.n, self.e, self.charges = n, e, charges
         self.layout = _Layout(len(charges), n, e, m)
         self.parts: dict = {}
         self.blocks: dict = {}
@@ -290,13 +268,11 @@ class _Chunk:
     def open_block(self, key: int, signature: tuple, text: str) -> tuple:
         """A new block from the first member the chunk meets, with that
         member's signature and, as a second one, its defect and hook count
-        by the member-level routes, from tables built for it alone."""
+        by the member-level routes."""
         mp = Multipartition(parse_partition(t) for t in text.split("|"))
-        m = self.m
-        runners = abacus.multi_beta(mp, self.charges, m).runners
         checked = (
             schur.defect_integer(mp, self.charges, self.e),
-            abacus.sum_hook_tables([abacus.hook_table(r, 1 - m, m - 1, self.e, -m) for r in runners]),
+            abacus.count_divisible_hooks(abacus.multi_beta(mp, self.charges), self.e),
         )
         block = self.blocks[key] = ([], {signature: None, checked: None})
         return block

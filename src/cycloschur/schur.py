@@ -75,18 +75,6 @@ class LaurentPoly:
         out.low, out.coeffs = low, coeffs
         return out
 
-    @classmethod
-    def zero(cls) -> "LaurentPoly":
-        return cls()
-
-    @classmethod
-    def one(cls) -> "LaurentPoly":
-        return cls({0: 1})
-
-    @classmethod
-    def term(cls, exp: int, coeff=1) -> "LaurentPoly":
-        return cls({exp: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self.coeffs
@@ -110,21 +98,11 @@ class LaurentPoly:
         return LaurentPoly._dense(self.low + other.low, out)
 
     @property
-    def min_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no degree")
-        return self.low
-
-    @property
-    def max_exp(self) -> int:
-        if self.is_zero:
-            raise ValueError("the zero polynomial has no degree")
-        return self.low + len(self.coeffs) - 1
-
-    @property
     def span(self) -> int:
-        """max_exp - min_exp; 0 for monomials."""
-        return self.max_exp - self.min_exp
+        """The highest exponent minus the lowest; 0 for monomials."""
+        if self.is_zero:
+            raise ValueError("the zero polynomial has no degree")
+        return len(self.coeffs) - 1
 
     def exact_divide(self, other: "LaurentPoly") -> "LaurentPoly":
         """Quotient self / other when it exists in the Laurent ring over
@@ -365,9 +343,7 @@ def column_tables(p, s: int, e: int, width: int) -> tuple[list, list[int]]:
     return rows, [(j - k + s) % e for j, k in enumerate(cols)]
 
 
-def defect_integer(
-    mp: Multipartition, charges: Sequence[int], e: int, *, tables: Sequence | None = None
-) -> int:
+def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
     """The e-defect from the factor structure.
 
     For e >= 2 it counts the factors whose (charged) hook is divisible
@@ -383,8 +359,7 @@ def defect_integer(
 
     The code counts lam^a_i - i + s_a in R_a and indexes it by
     j - 1 - lam^b'_j + s_b, so that each charge enters once per component
-    and not once per pair (a, b).  ``tables`` takes the ``column_tables``
-    of the components when the caller has built them already.
+    and not once per pair (a, b).
 
     For e = 1 the q-integer factors never contribute and the count is
     the number of pair factors with a nonzero charged hook, which is
@@ -397,11 +372,8 @@ def defect_integer(
     if e == 1:
         f = schur_factors(mp)
         return sum(1 for h, a, b in f.pair_factors if h + charges[a] - charges[b] != 0)
-    if tables is None:
-        width = max((comp[0] for comp in mp if comp), default=0)
-        tables = [column_tables(comp, s, e, width) for comp, s in zip(mp, charges)]
-    elif len(tables) != mp.level:
-        raise ValueError("one column table per component required")
+    width = max((comp[0] for comp in mp if comp), default=0)
+    tables = [column_tables(comp, s, e, width) for comp, s in zip(mp, charges)]
     return sum(sum(map(getitem, r, v)) for r, _ in tables for _, v in tables)
 
 

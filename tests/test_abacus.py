@@ -254,9 +254,9 @@ def test_count_divisible_matches_multiset():
 
 def test_hook_table_matches_the_recurrence():
     # P[i] counts the gaps at i - e, i - 2e, ... and Q[i] adds the gap at
-    # i, written out position by position on random runners given by their
-    # beads above a packed run; the first two runners are empty, the second
-    # with no gap at all
+    # i, written out position by position on random runners given by all
+    # their beads at or above base, a packed run from base up among them;
+    # the first two runners are empty, the second with no gap at all
     rng = random.Random(11)
     cases = [((), -3, 3, 2, -4), ((), -3, 3, 2, 3)]
     for _ in range(400):
@@ -278,9 +278,9 @@ def test_hook_table_matches_the_recurrence():
             (p, [sum(p[:i]) for i in range(len(p) + 1)]),
             (q, [sum(q[:i]) for i in range(len(q) + 1)]),
         )
-        assert hook_table(beads, base, top, e, full) == expected, (beads, base, top, e, full)
-        # the same runner given by all its beads at or above base
-        assert hook_table(sorted(occupied, reverse=True), base, top, e, base - 1) == expected
+        assert hook_table(sorted(occupied, reverse=True), base, top, e) == expected, (
+            beads, base, top, e, full
+        )
 
 
 def test_in_fundamental_domain():

@@ -3,6 +3,7 @@ import random
 import time
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from operator import getitem
 
 import pytest
 from hypothesis import example, given
@@ -37,7 +38,7 @@ from cycloschur.schur import (
     specialize_integer,
 )
 
-ONE = LaurentPoly.one()
+ONE = LaurentPoly({0: 1})
 
 
 def test_laurent_basic_arithmetic():
@@ -50,11 +51,11 @@ def test_laurent_basic_arithmetic():
 
 
 def test_laurent_zero_handling():
-    zero = LaurentPoly.zero()
+    zero = LaurentPoly()
     assert zero.is_zero
     assert LaurentPoly({3: 0}).is_zero
     with pytest.raises(ValueError):
-        zero.min_exp
+        zero.span
     assert str(zero) == "0"
 
 
@@ -65,7 +66,7 @@ def test_laurent_exact_divide():
     with pytest.raises(ValueError):
         LaurentPoly({3: 1, 0: -1}).exact_divide(LaurentPoly({1: 1, 0: 1}))
     with pytest.raises(ZeroDivisionError):
-        ONE.exact_divide(LaurentPoly.zero())
+        ONE.exact_divide(LaurentPoly())
     # laurent shifts divide out exactly
     shifted = LaurentPoly({-1: 1, -3: -1})
     assert shifted.exact_divide(LaurentPoly({-2: 1})) == LaurentPoly({1: 1, -1: -1})
@@ -216,12 +217,12 @@ def test_cyclotomic_poly_of_a_composite_with_a_large_prime():
 
 
 def test_nu_phi_examples():
-    assert nu_phi(LaurentPoly.term(5), 3) == 0
+    assert nu_phi(LaurentPoly({5: 1}), 3) == 0
     squared = cyclotomic_poly(2) * cyclotomic_poly(2) * cyclotomic_poly(1)
     assert nu_phi(squared, 2) == 2
     assert nu_phi(LaurentPoly({6: 1, 0: -1}), 3) == 1
     with pytest.raises(ValueError):
-        nu_phi(LaurentPoly.zero(), 2)
+        nu_phi(LaurentPoly(), 2)
     # a bad e raises rather than reading as multiplicity 0
     with pytest.raises(ValueError):
         nu_phi(ONE, 0)
@@ -298,7 +299,7 @@ def test_binomial_kernels_build_q_integers():
 @example(partitions_of(12)[0])
 def test_times_q_integer_is_a_product(lam):
     f = schur_factors(Multipartition([lam]))
-    expected = LaurentPoly.term(f.q_exponent, f.sign)
+    expected = LaurentPoly({f.q_exponent: f.sign})
     for h in f.q_integers:
         expected = expected * q_integer(h)
     assert specialize_integer(Multipartition([lam]), (0,)) == expected
@@ -333,7 +334,7 @@ def test_times_binomial_is_a_product(seed, c):
             specialize_integer(wider, charges + (c,))
         return
     shift = schur_factors(wider).q_exponent - schur_factors(mp).q_exponent
-    expected = specialize_integer(mp, charges) * LaurentPoly.term(shift, (-1) ** mp.rank)
+    expected = specialize_integer(mp, charges) * LaurentPoly({shift: (-1) ** mp.rank})
     for h in hooks:
         expected = expected * LaurentPoly({h: 1, 0: -1})
     assert specialize_integer(wider, charges + (c,)) == expected
@@ -388,7 +389,7 @@ def _random_multipartition(rng, level, rank):
 
 def _reference_expansion(mp, charges):
     f = schur_factors(mp)
-    poly = LaurentPoly.term(f.q_exponent, f.sign)
+    poly = LaurentPoly({f.q_exponent: f.sign})
     for h in f.q_integers:
         poly = poly * q_integer(h)
     for h, a, b in f.pair_factors:
@@ -458,7 +459,8 @@ def test_column_count_matches_factor_and_hook_counts(e):
 @pytest.mark.parametrize("e", [2, 3, 4, 5])
 def test_defect_from_column_tables(e):
     # tables built once per (partition, charge) and padded to any width at
-    # least the widest component, as a scan passes them, give the same count
+    # least the widest component, summed as defect_integer sums them, give
+    # the same count
     rng = random.Random(100 + e)
     for l in (1, 2, 3):
         for n in range(7):
@@ -467,7 +469,7 @@ def test_defect_from_column_tables(e):
                 width = max((comp[0] for comp in mp if comp), default=0) + rng.randint(0, 2)
                 tables = [column_tables(comp, c, e, width) for comp, c in zip(mp, s)]
                 hooks = sum(m for v, m in charged_hooks_direct(mp, s).items if v % e == 0)
-                value = defect_integer(mp, s, e, tables=tables)
+                value = sum(sum(map(getitem, r, v)) for r, _ in tables for _, v in tables)
                 assert value == defect_integer(mp, s, e) == hooks, (mp, s, e, width)
 
 
