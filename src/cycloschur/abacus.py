@@ -19,15 +19,13 @@ building the multiset, the charged hooks equal to 0 and divisible by e.
 They require the multicharge to be sorted; ``count_divisible_hooks``
 further requires it to lie in the fundamental domain
 s_0 <= ... <= s_{l-1} <= s_0 + e.  It sums the counting terms of
-``n_k`` from one table per runner (``hook_table``): with gap_t(y) = 1
-when runner t misses y and P_t(x) the number of gaps y <= x - e of t
-with y = x mod e, the count is the sum over runners c and t and beads
-x of c of [c < t] gap_t(x) + P_t(x) (``sum_hook_tables``).  A table
-holds the runner's lowest gap k, its beads above k, P and Q = P + gap
-and their prefix sums, so the full region of a runner below its own k
-costs one lookup per runner.  ``count_divisible_hooks`` builds the
-tables from the lowest gap of all runners (``active_beads``), so its
-cost does not grow with the window.
+``n_k`` from two lists per runner (``hook_table``): with gap_t(y) = 1
+when runner t misses y, P_t(x) the number of gaps y <= x - e of t with
+y = x mod e and Q_t(x) = P_t(x) + gap_t(x), the count is the sum over
+runners c and t and beads x of c of Q_t(x) if c < t and P_t(x)
+otherwise.  The lists span the lowest gap of all runners
+(``active_beads``) to the highest bead, so the cost does not grow with
+the window.
 """
 
 from __future__ import annotations
@@ -332,16 +330,13 @@ def active_beads(cfg: BetaConfig) -> tuple[int, tuple[tuple[int, ...], ...]]:
 
 
 def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
-    """The divisible-hook table, over the positions base to top, of a
-    runner full below base whose beads at or above base are `beads`: (k,
-    above, (P, P sums), (Q, Q sums)).
+    """The divisible-hook lists (P, Q), over the positions base to top, of
+    a runner full below base whose beads at or above base are `beads`.
 
-    k is the index of the runner's lowest gap and `above` the indices of
-    its beads above it, counted from base.  P[i] is the number of gaps
-    at base + i - e, base + i - 2e, ..., Q[i] = P[i] + 1 at a gap and
-    P[i] elsewhere, and a sums list holds the sums of its first 0, 1,
-    ..., top - base + 1 entries.  Every runner whose beads are summed
-    against the table must lie at or below top and be full below base.
+    P[i] is the number of gaps at base + i - e, base + i - 2e, ..., and
+    Q[i] = P[i] + 1 at a gap and P[i] elsewhere.  Every runner whose beads
+    are read against the lists must lie at or below top and be full below
+    base.
     """
     size = top - base + 1
     if beads and not base <= min(beads) <= max(beads) <= top:
@@ -349,43 +344,32 @@ def hook_table(beads: Sequence[int], base: int, top: int, e: int) -> tuple:
     q = [1] * size
     for x in beads:
         q[x - base] = 0
-    try:
-        k = q.index(1)
-    except ValueError:
-        k = size
     # Q[i] = gap(i) + Q[i - e]: a running sum along each residue class
     for r in range(min(e, size)):
         q[r::e] = accumulate(q[r::e])
-    p = [0] * min(e, size) + q[:-e]
-    above = tuple([x - base for x in beads if x - base > k])
-    return k, above, (p, list(accumulate(p, initial=0))), (q, list(accumulate(q, initial=0)))
-
-
-def sum_hook_tables(tables: Sequence[tuple]) -> int:
-    """The number of charged hooks divisible by e of the runners with these
-    ``hook_table`` tables, in component order, built over one range."""
-    total = 0
-    for c, (k, above, _, _) in enumerate(tables):
-        for t, (_, _, p, q) in enumerate(tables):
-            values, sums = q if c < t else p
-            total += sums[k] + sum(map(values.__getitem__, above))
-    return total
+    return [0] * min(e, size) + q[:-e], q
 
 
 def count_divisible_hooks(cfg: BetaConfig, e: int) -> int:
     """Number of charged hook lengths divisible by e, diagonal included.
 
     The count is the sum of the terms ``n_k`` over all beads x and all
-    k >= 0, summed by ``sum_hook_tables`` from one ``hook_table`` per
-    runner.  Below the lowest gap g of all runners every runner is full
-    and every term vanishes, so the tables span g to the highest bead,
-    and the cost grows with the rank and the charges, not with the
-    window.
+    k >= 0: Q_t(x) against each later runner t and P_t(x) against the
+    others, from one ``hook_table`` per runner.  Below the lowest gap g
+    of all runners every runner is full and every term vanishes, so the
+    tables span g to the highest bead, and the cost grows with the rank
+    and the charges, not with the window.
     """
     check_domain(cfg.charges, e)
     g, beads = active_beads(cfg)
     top = max((r[0] for r in beads if r), default=g - 1)
-    return sum_hook_tables([hook_table(r, g, top, e) for r in beads])
+    tables = [hook_table(r, g, top, e) for r in beads]
+    return sum(
+        (q if c < t else p)[x - g]
+        for c, runner in enumerate(beads)
+        for t, (p, q) in enumerate(tables)
+        for x in runner
+    )
 
 
 def normalize_multicharge(

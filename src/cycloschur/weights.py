@@ -21,22 +21,22 @@ the beads of each residue class mod e from the bottom, l per position,
 and the nested runners are read off the packed counts.  Every transfer
 lowers the potential sum over beads (c, y) of (l*y - e*c) by exactly e,
 so the weight is the potential of the start minus that of the terminal
-state, over e (``reduction_moves``, summed from the per-runner terms of
-``runner_potential`` and divided by ``potential_moves``).  Below the
-lowest gap of all runners every runner is full and nothing moves.
+state, over e (``potential_moves``).  Below the lowest gap of all
+runners every runner is full and nothing moves.
 
-Both depend on a runner only through its class summary
-(``bead_classes``), and the packing only on the class totals summed
-over the runners.  One routine, ``terminal_state``, packs them from a
-base below which every runner is full, and ``read_core`` reads the core
-off the packed counts.  ``core`` packs from the lowest gap of all
-runners (``abacus.active_beads``), so its cost does not grow with the
-window.  The scan packs from the window floor 1 - m, once per block key,
-since both inputs of the reduction follow from the key and the rank.
-Adding a box of residue r moves one bead from class r to class r + 1,
-so the class totals are those of the empty runners with the key moved
-along (``class_totals``), and adding a box raises one bead by one, so
-the start potential is that of the empty runners plus level times rank
+The packing depends on the runners only through the bead counts per
+residue class summed over them, and the weight only through their
+potential; ``bead_state`` reads both in one pass over the beads.  One
+routine, ``terminal_state``, packs the class totals from a base below
+which every runner is full, and ``read_core`` reads the core off the
+packed counts.  ``core`` packs from the lowest gap of all runners
+(``abacus.active_beads``), so its cost does not grow with the window.
+The scan packs from the window floor 1 - m, once per block key, since
+both inputs of the reduction follow from the key and the rank.  Adding
+a box of residue r moves one bead from class r to class r + 1, so the
+class totals are those of the empty runners with the key moved along
+(``class_totals``), and adding a box raises one bead by one, so the
+start potential is that of the empty runners plus level times rank
 (``start_potential``).
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
@@ -192,12 +192,18 @@ class CoreResult(NamedTuple):
         }
 
 
-def bead_classes(runner: Sequence[int], e: int) -> tuple[tuple[int, ...], int, int]:
-    """A runner's bead counts per residue class mod e, bead sum and bead count."""
-    counts = [0] * e
-    for x in runner:
-        counts[x % e] += 1
-    return tuple(counts), sum(runner), len(runner)
+def bead_state(runners: Sequence[Sequence[int]], e: int) -> tuple[tuple[int, ...], int]:
+    """The bead counts per residue class mod e, summed over these runners
+    in component order, and their potential: the sum over the beads y of
+    runner c of level*y - e*c (see the module docstring)."""
+    level = len(runners)
+    totals = [0] * e
+    potential = 0
+    for c, runner in enumerate(runners):
+        for x in runner:
+            totals[x % e] += 1
+        potential += level * sum(runner) - e * c * len(runner)
+    return tuple(totals), potential
 
 
 def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tuple:
@@ -220,13 +226,6 @@ def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tupl
     return packed, potential
 
 
-def runner_potential(summary: tuple, c: int, level: int, e: int) -> int:
-    """The potential sum of (level*y - e*c) over the beads y of runner c of
-    a level-``level`` abacus, from the runner's ``bead_classes`` summary."""
-    _, total, size = summary
-    return level * total - e * c * size
-
-
 def potential_moves(start: int, terminal: int, e: int) -> int:
     """The number of transfers from a start potential to a terminal one:
     each transfer lowers the potential by exactly e."""
@@ -236,35 +235,19 @@ def potential_moves(start: int, terminal: int, e: int) -> int:
     return moves
 
 
-def _empty_classes(charges: Sequence[int], e: int, m: int) -> list[tuple]:
-    """The ``bead_classes`` summaries of the empty runners at window m."""
-    return [bead_classes(beta_numbers(Partition(()), s, m), e) for s in charges]
-
-
 def class_totals(key: Sequence[int], charges: Sequence[int], m: int) -> tuple[int, ...]:
     """The bead counts per residue class mod e = len(key), summed over the
     runners at window m of any multipartition with residue vector key."""
-    empty = zip(*(counts for counts, _, _ in _empty_classes(charges, len(key), m)))
+    empty, _ = bead_state([beta_numbers(Partition(()), s, m) for s in charges], len(key))
     # each box of residue r moves one bead from class r to class r + 1
-    return tuple(sum(column) - key[r] + key[r - 1] for r, column in enumerate(empty))
+    return tuple(count - key[r] + key[r - 1] for r, count in enumerate(empty))
 
 
 def start_potential(rank: int, charges: Sequence[int], e: int, m: int) -> int:
     """The potential of the runners at window m of any multipartition of
     this rank: each box raises one bead by one."""
-    level = len(charges)
-    empty = _empty_classes(charges, e, m)
-    return level * rank + sum(
-        runner_potential(summary, c, level, e) for c, summary in enumerate(empty)
-    )
-
-
-def reduction_moves(summaries: Sequence[tuple], terminal: int, e: int) -> int:
-    """The number of transfers from the runners with these ``bead_classes``
-    summaries, in component order, to a terminal state of that potential."""
-    level = len(summaries)
-    start = sum(runner_potential(summary, c, level, e) for c, summary in enumerate(summaries))
-    return potential_moves(start, terminal, e)
+    _, empty = bead_state([beta_numbers(Partition(()), s, m) for s in charges], e)
+    return len(charges) * rank + empty
 
 
 def read_core(
@@ -291,11 +274,9 @@ def core(
     check_domain(charges, e)
     beta = multi_beta(mp, charges, m)
     g, beads = active_beads(beta)
-    summaries = [bead_classes(runner, e) for runner in beads]
-    totals = tuple(map(sum, zip(*(counts for counts, _, _ in summaries))))
+    totals, start = bead_state(beads, e)
     packed, terminal = terminal_state(totals, g, beta.level, e)
-    moves = reduction_moves(summaries, terminal, e)
-    return CoreResult(*read_core(g, packed, beta.level), moves)
+    return CoreResult(*read_core(g, packed, beta.level), potential_moves(start, terminal, e))
 
 
 def _remove_rim_hook(p: Partition, i: int, j: int) -> Partition:

@@ -470,9 +470,10 @@ def test_scan_detects_seeded_mutation(monkeypatch, capsys):
     assert "VIOLATION" in out
 
 
-def test_scan_flags_uniform_route_disagreement(monkeypatch):
-    # every member is off by one in the same way, so each block keeps a
-    # single signature: only the four-route agreement check can see it
+def test_scan_flags_uniform_fault_of_the_member_level_defect(monkeypatch):
+    # every member's defect_integer is off by one, but only the first
+    # member of each block runs it, for the second signature: each block
+    # leaves two signatures
     original = scanning.schur.defect_integer
 
     def broken(mp, charges, e, **kwargs):
@@ -703,11 +704,14 @@ def packed_slots(x, layout):
 
 
 def list_tables(p, s, layout):
-    """The column tables and the window's hook table of p under s."""
+    """The column tables and the window's hook table of p under s, and
+    the window indices of its beads."""
     m = layout.m
+    beads = abacus.beta_numbers(p, s, m)
     return (
         column_tables(p, s, layout.e, layout.n),
-        abacus.hook_table(abacus.beta_numbers(p, s, m), 1 - m, m - 1, layout.e),
+        abacus.hook_table(beads, 1 - m, m - 1, layout.e),
+        [x + m - 1 for x in beads],
     )
 
 
@@ -723,35 +727,32 @@ def test_packed_terms_match_the_list_tables():
             entries = []
             for p, s in product([p for k in range(n + 1) for p in partitions_of(k)], range(top + 1)):
                 _, key, vp, vq, mask = scanning._component(p, s, layout)
-                (rows, shifts), (gap, above, (p_vals, p_sums), (q_vals, q_sums)) = tables = (
-                    list_tables(p, s, layout)
-                )
+                (rows, shifts), (p_vals, q_vals), at = tables = list_tables(p, s, layout)
                 assert key == sum(c << n.bit_length() * r for r, c in enumerate(residue_counts(p, s, e)))
                 padded = [list(row) for row in rows] + [[0] * e] * (n - len(rows))
                 assert packed_slots(vp, layout) == (padded, p_vals), (l, n, e, top, p, s)
                 assert packed_slots(vq, layout) == (padded, q_vals), (l, n, e, top, p, s)
                 ones = layout.ones
-                beads = [ones * (i < gap or i in above) for i in range(len(q_vals))]
+                beads = [ones * (i in at) for i in range(len(q_vals))]
                 columns = [[ones * (r == shift) for r in range(e)] for shift in shifts]
                 assert packed_slots(mask, layout) == (columns, beads), (l, n, e, top, p, s)
                 columns, window = packed_slots(vp & mask, layout)
                 assert sum(map(sum, columns)) == sum(map(getitem, rows, shifts))
-                assert sum(window) == p_sums[gap] + sum(map(p_vals.__getitem__, above))
+                assert sum(window) == sum(map(p_vals.__getitem__, at))
                 entries.append((sum(p), vp, vq, mask, tables))
             for (k_a, vp_a, _, mask_a, tables_a), (k_c, _, vq_c, mask_c, tables_c) in product(
                 entries, repeat=2
             ):
                 if k_a + k_c > n:
                     continue
-                (rows_a, shifts_a), (gap_a, above_a, (p_a, p_sums_a), _) = tables_a
-                (rows_c, shifts_c), (gap_c, above_c, _, (q_c, q_sums_c)) = tables_c
+                (rows_a, shifts_a), (p_a, _), at_a = tables_a
+                (rows_c, shifts_c), (_, q_c), at_c = tables_c
                 columns, window = packed_slots((vp_a & mask_c) + (vq_c & mask_a), layout)
                 assert sum(map(sum, columns)) == (
                     sum(map(getitem, rows_a, shifts_c)) + sum(map(getitem, rows_c, shifts_a))
                 )
                 assert sum(window) == (
-                    q_sums_c[gap_a] + sum(map(q_c.__getitem__, above_a))
-                    + p_sums_a[gap_c] + sum(map(p_a.__getitem__, above_c))
+                    sum(map(q_c.__getitem__, at_a)) + sum(map(p_a.__getitem__, at_c))
                 )
                 pairs += 1
     assert pairs > 0
@@ -835,11 +836,34 @@ def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):
     assert "2.1|0" in out.splitlines()[index + 1].split()
 
 
-def test_scan_flags_uniform_hook_disagreement(monkeypatch):
-    # every member is off by one in the same way, so each block keeps a
-    # single signature: only the four-route agreement check can see it
-    real = abacus.sum_hook_tables
-    monkeypatch.setattr(abacus, "sum_hook_tables", lambda tables: real(tables) + 1)
+def test_scan_flags_uniform_fault_of_the_member_level_hook_count(monkeypatch):
+    # every member's count_divisible_hooks is off by one, but only the
+    # first member of each block runs it, for the second signature: each
+    # block leaves two signatures
+    real = abacus.count_divisible_hooks
+    monkeypatch.setattr(abacus, "count_divisible_hooks", lambda cfg, e: real(cfg, e) + 1)
+    report = scan(2, 4, 2, (0, 1))
+    assert report.blocks and all(b.violation for b in report.blocks)
+
+
+@pytest.mark.parametrize(
+    "weight_off, moves_off", [(1, 0), (0, 1), (1, 1)], ids=["weight", "moves", "both"]
+)
+def test_scan_flags_uniform_fault_of_a_key_level_route(monkeypatch, weight_off, moves_off):
+    # residue_weight and start_potential run once per key, after the merge,
+    # so each block keeps one signature and its core: only the four-route
+    # agreement can flag it, also when the residue weight and the reduction
+    # weight agree with each other and not with the defect and hook count
+    assert not any(b.violation for b in scan(2, 4, 2, (0, 1)).blocks)
+    real_weight, real_start = weights.residue_weight, weights.start_potential
+    monkeypatch.setattr(
+        weights, "residue_weight", lambda key, charges: real_weight(key, charges) + weight_off
+    )
+    monkeypatch.setattr(
+        weights,
+        "start_potential",
+        lambda rank, charges, e, m: real_start(rank, charges, e, m) + e * moves_off,
+    )
     report = scan(2, 4, 2, (0, 1))
     assert report.blocks and all(b.violation for b in report.blocks)
 

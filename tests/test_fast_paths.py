@@ -23,10 +23,10 @@ from cycloschur.abacus import (
 from cycloschur.partitions import enumerate_multipartitions, parse_multipartition
 from cycloschur.weights import (
     CoreResult,
-    bead_classes,
+    bead_state,
     core,
+    potential_moves,
     read_core,
-    reduction_moves,
     terminal_state,
     uglov_weight,
 )
@@ -65,8 +65,9 @@ def test_fast_paths_match_brute_force(l, e):
 @pytest.mark.parametrize("e", [2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_floor_class_totals_match_core(l, e):
-    # the scan's route: whole-runner class summaries packed from the window
-    # floor, against core and the move-by-move reduction
+    # the scan's route: the class totals and potential of whole runners
+    # packed from the window floor, against core and the move-by-move
+    # reduction
     for n in range(7):
         for index, mp in enumerate(enumerate_multipartitions(l, n)):
             for s in fundamental_charges(l, e):
@@ -74,11 +75,10 @@ def test_floor_class_totals_match_core(l, e):
                 rng = random.Random(SEEDS[index % len(SEEDS)])
                 moves = uglov_weight(mp, s, e, m, rng=rng)
                 for window in (m, 4 * m):
-                    summaries = [bead_classes(r, e) for r in multi_beta(mp, s, window).runners]
-                    totals = tuple(map(sum, zip(*(c for c, _, _ in summaries))))
+                    totals, start = bead_state(multi_beta(mp, s, window).runners, e)
                     packed, terminal = terminal_state(totals, 1 - window, l, e)
                     result = CoreResult(
-                        *read_core(1 - window, packed, l), reduction_moves(summaries, terminal, e)
+                        *read_core(1 - window, packed, l), potential_moves(start, terminal, e)
                     )
                     assert result == core(mp, s, e, window), (mp, s, window)
                     assert result.weight == moves, (mp, s, window)

@@ -13,7 +13,7 @@ from cycloschur.partitions import (
     partitions_of,
 )
 from cycloschur.weights import (
-    bead_classes,
+    bead_state,
     bgo_check,
     class_totals,
     core,
@@ -24,7 +24,6 @@ from cycloschur.weights import (
     potential_moves,
     residue_vector,
     residue_weight,
-    runner_potential,
     start_potential,
     uglov_weight,
 )
@@ -316,9 +315,7 @@ def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
             m = n + max(charges) + 1
             start = start_potential(n, charges, e, m)
             for mp in enumerate_multipartitions(l, n):
-                summaries = [bead_classes(r, e) for r in multi_beta(mp, charges, m).runners]
-                totals = tuple(map(sum, zip(*(counts for counts, _, _ in summaries))))
+                totals, potential = bead_state(multi_beta(mp, charges, m).runners, e)
                 key = residue_vector(mp, charges, e)
                 assert totals == class_totals(key, charges, m), (mp, charges)
-                potential = sum(runner_potential(sm, c, l, e) for c, sm in enumerate(summaries))
                 assert potential == start, (mp, charges)

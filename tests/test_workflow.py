@@ -1,4 +1,5 @@
-"""The command steps of the CI workflow, run as part of the test suite.
+"""The command steps of the CI workflow, run as part of the test suite,
+and the syntax of the package at the lowest Python version it supports.
 
 Each step's ``run:`` script is read from ``.github/workflows/tier1.yml``
 and run with ``bash -e`` in a temporary directory, with ``cycloschur`` and
@@ -7,7 +8,9 @@ The install step and the pytest step are skipped: the package is run
 from the checkout, and the suite is already running.
 """
 
+import ast
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -104,3 +107,16 @@ def test_workflow_command_steps_pass(tmp_path):
             timeout=120,
         )
         assert done.returncode == 0, (name, done.stdout[-2000:], done.stderr[-2000:])
+
+
+def test_sources_parse_at_the_python_floor():
+    # the syntax of every module against the grammar of the oldest Python
+    # that pyproject.toml admits; library calls new in later versions are
+    # not checked
+    floor = re.search(r'requires-python = ">=(\d+)\.(\d+)"', (ROOT / "pyproject.toml").read_text())
+    assert floor, "pyproject.toml names no requires-python floor"
+    version = (int(floor[1]), int(floor[2]))
+    sources = sorted((ROOT / "src" / "cycloschur").glob("*.py"))
+    assert sources
+    for path in sources:
+        ast.parse(path.read_text(), filename=str(path), feature_version=version)
