@@ -5,13 +5,12 @@ groups them by residue vector (the proxy block key) and checks four
 routes to the weight of each block: the weight from residues, the
 weight from the bead reduction, the defect read off the Schur factors
 and the divisible-hook count.  The first two, the core and its charges
-depend only on the key (see ``weights.class_totals`` and
-``weights.start_potential``), so they are computed once per key, after
-the enumeration.  Each member leaves its signature, its defect and
-divisible-hook count, in its block, and one rule decides every block:
-it is a violation if its members leave more than one signature, if the
-four routes differ, or if another block has the same core and core
-multicharge.
+depend only on the key and the rank (``weights.key_core``), so they are
+computed once per key, after the enumeration.  Each member leaves its
+signature, its defect and divisible-hook count, in its block, and one
+rule decides every block: it is a violation if its members leave more
+than one signature, if the four routes differ, or if another block has
+the same core and core multicharge.
 
 Each worker builds one entry per (partition, charge) its members use:
 the text, the packed residue counts and three ints in B-bit slots, laid
@@ -36,7 +35,8 @@ a worker meets is also run through the member-level routes,
 ``schur.defect_integer`` and ``abacus.count_divisible_hooks``: a second
 signature that shares no data with the walk, so a fault of the entries
 or the walk leaves two.  A chunk of the enumeration is a run of whole
-rank vectors, and it unpacks its keys into tuples once per block.  The
+rank vectors, and it returns its blocks under their packed keys, which
+``scan`` unpacks into tuples once per block, after the merge.  The
 partial blocks are merged in enumeration order, so the output is
 byte-identical for any worker count.
 """
@@ -239,23 +239,17 @@ class _Chunk:
     first appearance."""
 
     def __init__(self, n: int, e: int, charges: tuple, m: int):
-        self.n, self.e, self.charges = n, e, charges
+        self.e, self.charges = e, charges
         self.layout = _Layout(len(charges), n, e, m)
         self.parts: dict = {}
         self.blocks: dict = {}
 
     def run(self, vectors) -> dict:
         """Walk every member of these rank vectors in enumeration order,
-        each vector whole, and unpack the keys into tuples once per
-        block."""
+        each vector whole, and return the blocks."""
         for ranks in vectors:
             self.walk([self.column(k, s) for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
-        bits = self.n.bit_length()
-        mask = (1 << bits) - 1
-        return {
-            tuple(key >> (r * bits) & mask for r in range(self.e)): block
-            for key, block in self.blocks.items()
-        }
+        return self.blocks
 
     def column(self, k: int, s: int) -> list:
         """The entries of all partitions of k under the charge s, in
@@ -361,27 +355,23 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
             if all_members is not members:
                 all_members.extend(members)
                 all_signatures.update(signatures)
-    # the weight routes and the core depend only on the key
-    start = weights.start_potential(n, norm, e, m)
-    cores = {}
-    for key in merged:
-        totals = weights.class_totals(key, norm, m)
-        packed, terminal = weights.terminal_state(totals, 1 - m, l, e)
-        core_mp, core_charges = weights.read_core(1 - m, packed, l)
-        moves = weights.potential_moves(start, terminal, e)
-        cores[key] = format_multipartition(core_mp), core_charges, moves
-    shared = Counter(core[:2] for core in cores.values())
+    # the weight routes and the core depend only on the key, unpacked
+    # here from n.bit_length() bits per class
+    bits = n.bit_length()
+    keys = [tuple(packed >> r * bits & (1 << bits) - 1 for r in range(e)) for packed in merged]
+    cores = [weights.key_core(key, n, norm, m) for key in keys]
+    shared = Counter(result[:2] for result in cores)
     blocks = []
-    for key, (members, signatures) in merged.items():
+    for key, result, (members, signatures) in zip(keys, cores, merged.values()):
         weight = weights.residue_weight(key, norm)
         defect, hooks = next(iter(signatures))
-        core, core_charges, moves = cores[key]
         violation = (
             len(signatures) > 1
-            or not weight == moves == defect == hooks
-            or shared[core, core_charges] > 1
+            or not weight == result.weight == defect == hooks
+            or shared[result[:2]] > 1
         )
+        core = format_multipartition(result.core)
         blocks.append(
-            BlockReport(key, tuple(members), weight, defect, core, core_charges, violation)
+            BlockReport(key, tuple(members), weight, defect, core, result.charges, violation)
         )
     return ScanReport(l, n, e, norm, m, tuple(blocks))

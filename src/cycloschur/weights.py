@@ -21,23 +21,23 @@ the beads of each residue class mod e from the bottom, l per position,
 and the nested runners are read off the packed counts.  Every transfer
 lowers the potential sum over beads (c, y) of (l*y - e*c) by exactly e,
 so the weight is the potential of the start minus that of the terminal
-state, over e (``potential_moves``).  Below the lowest gap of all
-runners every runner is full and nothing moves.
+state, over e.  Below the lowest gap of all runners every runner is full
+and nothing moves.
 
 The packing depends on the runners only through the bead counts per
-residue class summed over them, and the weight only through their
-potential; ``bead_state`` reads both in one pass over the beads.  One
-routine, ``terminal_state``, packs the class totals from a base below
-which every runner is full, and ``read_core`` reads the core off the
-packed counts.  ``core`` packs from the lowest gap of all runners
+residue class summed over them, the class totals, and the weight only
+through their potential; ``bead_state`` reads both in one pass over the
+beads.  ``terminal_core`` packs the class totals from a base below which
+every runner is full and reads back the core, its charges and the
+number of moves.  It has two entry points.  ``core`` packs the beads of
+a multipartition from the lowest gap of all runners
 (``abacus.active_beads``), so its cost does not grow with the window.
-The scan packs from the window floor 1 - m, once per block key, since
-both inputs of the reduction follow from the key and the rank.  Adding
-a box of residue r moves one bead from class r to class r + 1, so the
-class totals are those of the empty runners with the key moved along
-(``class_totals``), and adding a box raises one bead by one, so the
-start potential is that of the empty runners plus level times rank
-(``start_potential``).
+``key_core`` packs from the window floor 1 - m and needs only the
+residue vector and the rank: adding a box of residue r moves one bead
+from class r to class r + 1 and raises it by one, so the class totals
+are those of the empty runners with the key moved along, and the start
+potential is that of the empty runners plus level times rank.  The scan
+calls it once per block key.
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -206,13 +206,16 @@ def bead_state(runners: Sequence[Sequence[int]], e: int) -> tuple[tuple[int, ...
     return tuple(totals), potential
 
 
-def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tuple:
-    """Pack the totals[r] beads of each residue class r mod e from base
-    upward, level per position, and return the packed counts at base,
-    base + 1, ... and the potential of the nested terminal runners (see
-    the module docstring).  Below base every runner must be full."""
+def terminal_core(
+    totals: Sequence[int], start: int, base: int, level: int, e: int
+) -> CoreResult:
+    """The terminal state of the reduction from the class totals and the
+    start potential of runners that are full below base: the totals[r]
+    beads of each residue class r mod e packed from base upward, level
+    per position, read back as the core and its charges, and the number
+    of moves, (start - terminal potential) / e (see the module docstring)."""
     packed: list[int] = []
-    potential = 0
+    terminal = 0
     for r, left in enumerate(totals):
         i = (r - base) % e
         while left:
@@ -220,50 +223,31 @@ def terminal_state(totals: Sequence[int], base: int, level: int, e: int) -> tupl
             packed.extend([0] * (i + 1 - len(packed)))
             packed[i] = b
             # the b beads at a position sit on the top b components
-            potential += level * (base + i) * b - e * (b * (2 * level - b - 1) // 2)
+            terminal += level * (base + i) * b - e * (b * (2 * level - b - 1) // 2)
             left -= b
             i += e
-    return packed, potential
-
-
-def potential_moves(start: int, terminal: int, e: int) -> int:
-    """The number of transfers from a start potential to a terminal one:
-    each transfer lowers the potential by exactly e."""
     moves, rest = divmod(start - terminal, e)
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
-    return moves
-
-
-def class_totals(key: Sequence[int], charges: Sequence[int], m: int) -> tuple[int, ...]:
-    """The bead counts per residue class mod e = len(key), summed over the
-    runners at window m of any multipartition with residue vector key."""
-    empty, _ = bead_state([beta_numbers(Partition(()), s, m) for s in charges], len(key))
-    # each box of residue r moves one bead from class r to class r + 1
-    return tuple(count - key[r] + key[r - 1] for r, count in enumerate(empty))
-
-
-def start_potential(rank: int, charges: Sequence[int], e: int, m: int) -> int:
-    """The potential of the runners at window m of any multipartition of
-    this rank: each box raises one bead by one."""
-    _, empty = bead_state([beta_numbers(Partition(()), s, m) for s in charges], e)
-    return len(charges) * rank + empty
-
-
-def read_core(
-    g: int, packed: Sequence[int], level: int
-) -> tuple[Multipartition, tuple[int, ...]]:
-    """The core multipartition and its charges from the packed bead
-    counts of ``terminal_state`` at g, where every runner is full below g."""
-    # a runner with k beads at or above g has m + g - 1 more below them,
-    # so its charge is k + g - 1
+    # a runner with k beads at or above base has m + base - 1 more below
+    # them, so its charge is k + base - 1
     comps, charges = [], []
     for c in range(level):
-        xs = [g + i for i in range(len(packed) - 1, -1, -1) if packed[i] >= level - c]
-        s = len(xs) + g - 1
+        xs = [base + i for i in range(len(packed) - 1, -1, -1) if packed[i] >= level - c]
+        s = len(xs) + base - 1
         comps.append(Partition(x + i - s for i, x in enumerate(xs)))
         charges.append(s)
-    return Multipartition(comps), tuple(charges)
+    return CoreResult(Multipartition(comps), tuple(charges), moves)
+
+
+def key_core(key: Sequence[int], rank: int, charges: Sequence[int], m: int) -> CoreResult:
+    """The reduction at window m of any multipartition of this rank with
+    residue vector key, one count per class mod e = len(key)."""
+    e = len(key)
+    empty, potential = bead_state([beta_numbers(Partition(()), s, m) for s in charges], e)
+    # each box of residue r raises one bead by one, from class r to r + 1
+    totals = [count - key[r] + key[r - 1] for r, count in enumerate(empty)]
+    return terminal_core(totals, potential + len(charges) * rank, 1 - m, len(charges), e)
 
 
 def core(
@@ -274,9 +258,7 @@ def core(
     check_domain(charges, e)
     beta = multi_beta(mp, charges, m)
     g, beads = active_beads(beta)
-    totals, start = bead_state(beads, e)
-    packed, terminal = terminal_state(totals, g, beta.level, e)
-    return CoreResult(*read_core(g, packed, beta.level), potential_moves(start, terminal, e))
+    return terminal_core(*bead_state(beads, e), g, beta.level, e)
 
 
 def _remove_rim_hook(p: Partition, i: int, j: int) -> Partition:

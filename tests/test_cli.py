@@ -15,7 +15,7 @@ from pathlib import Path
 import pytest
 
 from cycloschur import abacus, scanning, weights
-from cycloschur.abacus import count_divisible_hooks, multi_beta
+from cycloschur.abacus import count_divisible_hooks, in_fundamental_domain, multi_beta
 from cycloschur.cli import main, write_scan_csv
 from cycloschur.groups import sigma
 from cycloschur.partitions import (
@@ -29,7 +29,14 @@ from cycloschur.partitions import (
 )
 from cycloschur.scanning import BlockReport, ScanReport, scan
 from cycloschur.schur import column_tables, defect_integer
-from cycloschur.weights import core, residue_counts, residue_vector, residue_weight
+from cycloschur.weights import (
+    CoreResult,
+    core,
+    residue_counts,
+    residue_vector,
+    residue_weight,
+    uglov_weight,
+)
 
 
 def run(capsys, *argv):
@@ -666,6 +673,28 @@ def test_scan_matches_member_by_member_reference(l, e):
                 assert scan(l, n, e, charges, jobs=jobs) == expected, (l, n, e, charges, jobs)
 
 
+def test_scan_cores_are_terminal_in_the_fundamental_domain():
+    # the block invariants of the core, on every block of the Tier-1 scan
+    # grids: its charges keep the scan's charge sum and lie in the
+    # fundamental domain, and under them the core has weight 0 by the
+    # residue weight and by the move-by-move reduction, and reduces to itself
+    blocks = 0
+    for l, e in product((1, 2, 3), (2, 3, 4)):
+        for charges in combinations_with_replacement(range(e), l):
+            for n in range(7):
+                report = scan(l, n, e, charges)
+                for b in report.blocks:
+                    mp, s = parse_multipartition(b.core), b.core_charges
+                    where = (l, n, e, charges, b.key)
+                    assert sum(s) == sum(report.charges), where
+                    assert in_fundamental_domain(s, e), where
+                    assert residue_weight(residue_vector(mp, s, e), s) == 0, where
+                    assert uglov_weight(mp, s, e) == 0, where
+                    assert core(mp, s, e) == CoreResult(mp, s, 0), where
+                    blocks += 1
+    assert blocks == 2176
+
+
 def test_scan_builds_each_entry_once_per_chunk(monkeypatch):
     # each chunk builds one entry per (partition, charge) its members use,
     # and no other; the chunks run in this process, so every chunk's calls
@@ -850,40 +879,41 @@ def test_scan_flags_uniform_fault_of_the_member_level_hook_count(monkeypatch):
     "weight_off, moves_off", [(1, 0), (0, 1), (1, 1)], ids=["weight", "moves", "both"]
 )
 def test_scan_flags_uniform_fault_of_a_key_level_route(monkeypatch, weight_off, moves_off):
-    # residue_weight and start_potential run once per key, after the merge,
-    # so each block keeps one signature and its core: only the four-route
+    # residue_weight and key_core run once per key, after the merge, so
+    # each block keeps one signature and its core: only the four-route
     # agreement can flag it, also when the residue weight and the reduction
     # weight agree with each other and not with the defect and hook count
     assert not any(b.violation for b in scan(2, 4, 2, (0, 1)).blocks)
-    real_weight, real_start = weights.residue_weight, weights.start_potential
+    real_weight, real_core = weights.residue_weight, weights.key_core
     monkeypatch.setattr(
         weights, "residue_weight", lambda key, charges: real_weight(key, charges) + weight_off
     )
-    monkeypatch.setattr(
-        weights,
-        "start_potential",
-        lambda rank, charges, e, m: real_start(rank, charges, e, m) + e * moves_off,
-    )
+
+    def moved(key, rank, charges, m):
+        result = real_core(key, rank, charges, m)
+        return result._replace(weight=result.weight + moves_off)
+
+    monkeypatch.setattr(weights, "key_core", moved)
     report = scan(2, 4, 2, (0, 1))
     assert report.blocks and all(b.violation for b in report.blocks)
 
 
 def test_scan_detects_core_mutation(monkeypatch, capsys):
-    # the class totals of the key of 2.1|0 are replaced by those of the key
-    # of 3|0, whose block has the same weight, so the terminal potential and
-    # with it the reduction weight stay right: only the core check can see
-    # that both blocks now read back the same core
+    # the key of 2.1|0 is reduced as the key of 3|0, whose block has the
+    # same rank and weight, so the class totals are those of 3|0 while the
+    # start potential and the reduction weight stay right: only the core
+    # check can see that both blocks now read back the same core
     key = residue_vector(parse_multipartition("2.1|0"), (0, 1), 2)
     other = residue_vector(parse_multipartition("3|0"), (0, 1), 2)
-    original = weights.class_totals
-    assert (original(key, (0, 1), 5), original(other, (0, 1), 5)) == ((7, 4), (5, 6))
-    terminal = [weights.terminal_state(totals, -4, 2, 2)[1] for totals in ((7, 4), (5, 6))]
-    assert terminal[0] == terminal[1]
+    original = weights.key_core
+    cores = [original(k, 3, (0, 1), 5) for k in (key, other)]
+    assert cores[0].weight == cores[1].weight
+    assert cores[0][:2] != cores[1][:2]
 
-    def broken(k, charges, m):
-        return original(other if k == key else k, charges, m)
+    def broken(k, rank, charges, m):
+        return original(other if k == key else k, rank, charges, m)
 
-    monkeypatch.setattr(scanning.weights, "class_totals", broken)
+    monkeypatch.setattr(scanning.weights, "key_core", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
     assert code == 1
     heads = [line for line in out.splitlines() if line.startswith("block ")]
@@ -898,16 +928,18 @@ def test_scan_detects_shared_core(monkeypatch, capsys):
     # block stays constant, and only core injectivity can see it
     blocks = scan(3, 4, 3, (0, 1, 2)).blocks
     i, j = sorted(random.Random(7).sample(range(len(blocks)), 2))
-    copied = (parse_multipartition(blocks[i].core), blocks[i].core_charges)
-    original = weights.read_core
+    copied, target = (
+        (parse_multipartition(b.core), b.core_charges) for b in (blocks[i], blocks[j])
+    )
+    original = weights.terminal_core
 
-    def broken(g, packed, level):
-        core_mp, charges = original(g, packed, level)
-        if (format_multipartition(core_mp), charges) == (blocks[j].core, blocks[j].core_charges):
-            return copied
-        return core_mp, charges
+    def broken(totals, start, base, level, e):
+        result = original(totals, start, base, level, e)
+        if result[:2] == target:
+            return result._replace(core=copied[0], charges=copied[1])
+        return result
 
-    monkeypatch.setattr(scanning.weights, "read_core", broken)
+    monkeypatch.setattr(scanning.weights, "terminal_core", broken)
     code, out, _ = run(capsys, "scan", "--l", "3", "--n", "4", "--e", "3", "--charge", "0,1,2")
     assert code == 1
     flagged = [line for line in out.splitlines() if line.endswith("VIOLATION")]
@@ -918,16 +950,16 @@ def test_scan_counts_each_violating_block_once(monkeypatch, capsys, tmp_path):
     # block 1 reads back the core of block 0, so exactly those two blocks
     # are flagged, and the text and the JSON count each of them once
     first, second = scan(3, 4, 3, (0, 1, 2)).blocks[:2]
-    copied = (parse_multipartition(first.core), first.core_charges)
-    original = weights.read_core
+    copied, target = ((parse_multipartition(b.core), b.core_charges) for b in (first, second))
+    original = weights.terminal_core
 
-    def broken(g, packed, level):
-        core_mp, charges = original(g, packed, level)
-        if (format_multipartition(core_mp), charges) == (second.core, second.core_charges):
-            return copied
-        return core_mp, charges
+    def broken(totals, start, base, level, e):
+        result = original(totals, start, base, level, e)
+        if result[:2] == target:
+            return result._replace(core=copied[0], charges=copied[1])
+        return result
 
-    monkeypatch.setattr(scanning.weights, "read_core", broken)
+    monkeypatch.setattr(scanning.weights, "terminal_core", broken)
     path = tmp_path / "r.json"
     code, out, _ = run(
         capsys, "scan", "--l", "3", "--n", "4", "--e", "3", "--charge", "0,1,2", "--json", str(path)
@@ -999,8 +1031,11 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
     assert shared
     for key in shared:
         assert len(first[key]) == 1 and len(first[key] | second[key]) > 1, key
-    # a block is flagged exactly when the second chunk met it
-    assert [b.violation for b in report.blocks] == [b.key in second for b in report.blocks]
+    # a block is flagged exactly when the second chunk met it; the chunks
+    # keep their keys packed, n.bit_length() bits per class
+    bits = (6).bit_length()
+    packed = [sum(count << r * bits for r, count in enumerate(b.key)) for b in report.blocks]
+    assert [b.violation for b in report.blocks] == [key in second for key in packed]
 
 
 def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
@@ -1027,9 +1062,9 @@ def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
-    # the merge packs and reads back each core once, however many chunks
-    # met its block; the chunks run in this process, so a call from one of
-    # them would be counted too
+    # the merge reduces each key and packs and reads back its core once,
+    # however many chunks met its block; the chunks run in this process, so
+    # a call from one of them would be counted too
     calls = []
 
     def counting(name):
@@ -1041,7 +1076,7 @@ def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
 
         return wrapper
 
-    for name in ("terminal_state", "read_core"):
+    for name in ("key_core", "terminal_core"):
         monkeypatch.setattr(weights, name, counting(name))
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
@@ -1054,7 +1089,7 @@ def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
     # with two chunks some block is met by both
     assert (keys > len(report.blocks)) == (jobs > 1)
     blocks = len(report.blocks)
-    assert sorted(calls) == ["read_core"] * blocks + ["terminal_state"] * blocks
+    assert sorted(calls) == ["key_core"] * blocks + ["terminal_core"] * blocks
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
@@ -1152,10 +1187,10 @@ def test_scan_flags_a_fault_in_the_nested_sums(monkeypatch, capsys, field):
 
 
 def test_internal_error_exits_4(monkeypatch, capsys):
-    def broken(totals, base, level, e):
+    def broken(totals, start, base, level, e):
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
 
-    monkeypatch.setattr(scanning.weights, "terminal_state", broken)
+    monkeypatch.setattr(scanning.weights, "terminal_core", broken)
     code, out, err = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2")
     assert (code, out) == (4, "")
     assert err.startswith("internal error: ArithmeticError") and err.count("\n") == 1

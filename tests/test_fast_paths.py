@@ -21,15 +21,7 @@ from cycloschur.abacus import (
     multi_beta,
 )
 from cycloschur.partitions import enumerate_multipartitions, parse_multipartition
-from cycloschur.weights import (
-    CoreResult,
-    bead_state,
-    core,
-    potential_moves,
-    read_core,
-    terminal_state,
-    uglov_weight,
-)
+from cycloschur.weights import bead_state, core, terminal_core, uglov_weight
 
 SEEDS = (0, 1, 2)
 
@@ -76,10 +68,7 @@ def test_floor_class_totals_match_core(l, e):
                 moves = uglov_weight(mp, s, e, m, rng=rng)
                 for window in (m, 4 * m):
                     totals, start = bead_state(multi_beta(mp, s, window).runners, e)
-                    packed, terminal = terminal_state(totals, 1 - window, l, e)
-                    result = CoreResult(
-                        *read_core(1 - window, packed, l), potential_moves(start, terminal, e)
-                    )
+                    result = terminal_core(totals, start, 1 - window, l, e)
                     assert result == core(mp, s, e, window), (mp, s, window)
                     assert result.weight == moves, (mp, s, window)
 

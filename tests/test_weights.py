@@ -15,16 +15,15 @@ from cycloschur.partitions import (
 from cycloschur.weights import (
     bead_state,
     bgo_check,
-    class_totals,
     core,
     ecore_abacus,
     ecore_classical,
     fayers_weight,
+    key_core,
     normalized_instance,
-    potential_moves,
     residue_vector,
     residue_weight,
-    start_potential,
+    terminal_core,
     uglov_weight,
 )
 
@@ -296,26 +295,33 @@ def test_normalized_instance():
 
 
 def test_potential_moves_rejects_a_potential_it_cannot_reach():
-    # each transfer lowers the potential by exactly e
-    assert potential_moves(7, 1, 3) == 2
-    assert potential_moves(4, 4, 3) == 0
-    for start, terminal in ((7, 2), (1, 7)):
+    # each transfer lowers the potential by exactly e: from the start
+    # potential of RANK8_PAIR its weight, from the terminal one none, and
+    # neither a start off by 1 nor one below the terminal is reachable
+    charges, e = (0, 2), 3
+    m = default_window(RANK8_PAIR, charges)
+    totals, start = bead_state(multi_beta(RANK8_PAIR, charges, m).runners, e)
+    result = terminal_core(totals, start, 1 - m, 2, e)
+    assert result == core(RANK8_PAIR, charges, e, m)
+    assert result.weight > 0
+    terminal = start - e * result.weight
+    assert terminal_core(totals, terminal, 1 - m, 2, e) == result._replace(weight=0)
+    for bad in (start + 1, start - 1, terminal - e):
         with pytest.raises(ArithmeticError):
-            potential_moves(start, terminal, 3)
+            terminal_core(totals, bad, 1 - m, 2, e)
 
 
 @pytest.mark.parametrize("e", [2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
-    # the scan reads the class totals off the block key and the start
-    # potential off the rank: every member of the scan grids, at the scan
-    # window, must have those of the formulas
+    # the scan reduces each block key at its rank: every member of the scan
+    # grids, at the scan window and at four times it, must have the core of
+    # its key
     for charges in combinations_with_replacement(range(e), l):
         for n in range(7):
             m = n + max(charges) + 1
-            start = start_potential(n, charges, e, m)
             for mp in enumerate_multipartitions(l, n):
-                totals, potential = bead_state(multi_beta(mp, charges, m).runners, e)
                 key = residue_vector(mp, charges, e)
-                assert totals == class_totals(key, charges, m), (mp, charges)
-                assert potential == start, (mp, charges)
+                for window in (m, 4 * m):
+                    expected = core(mp, charges, e, window)
+                    assert key_core(key, n, charges, window) == expected, (mp, charges, window)
