@@ -39,6 +39,30 @@ rank vectors, and it returns its blocks under their packed keys, which
 ``scan`` unpacks into tuples once per block, after the merge.  The
 partial blocks are merged in enumeration order, so the output is
 byte-identical for any worker count.
+
+A worker process costs tens of milliseconds of CPU to start and to send
+its blocks back, a member a few microseconds, so ``scan`` starts one
+worker per M = ``_WORKER_MEMBERS`` = 2^15 members at most: it cuts the
+rank vectors into k = min(jobs, CPU count, members // M) chunks, at
+least one, and a single chunk runs in the calling process.  The rule
+reads only the member count.  Median milliseconds of ``scan`` at jobs=1
+and at jobs=2 through the pool (cut as if M were 1), with the share of
+alternating process pairs that jobs=2 won (Python 3.11.7, 2 shared
+vCPUs, charges 0, 1, ..., l - 1):
+
+    (l, n, e)    members   wall 1 / 2   CPU 1 / 2   jobs=2 won
+    (2, 20, 2)    24,842     56 / 81      54 / 99     2 of 5
+    (2, 21, 2)    35,002    130 / 95     130 / 153    7 of 10
+    (3, 15, 3)    35,581     82 / 86      82 / 142    5 of 10
+    (4, 12, 3)    35,693    104 / 94     103 / 168    6 of 10
+    (2, 22, 2)    49,010    150 / 128    150 / 209    7 of 10
+    (3, 16, 3)    57,222    158 / 118    157 / 206    9 of 10
+    (2, 23, 2)    68,150    231 / 167    231 / 272    5 of 5
+    (2, 24, 2)    94,235    271 / 218    268 / 391    4 of 5
+    (2, 26, 2)   177,087    457 / 390    463 / 683    5 of 5
+
+The pool always took 1.2 to 1.8 times the CPU.  Below 2M = 65,536
+members it lost, tied or won unevenly; above, it won.
 """
 
 from __future__ import annotations
@@ -300,6 +324,10 @@ class _Chunk:
             members.append(member)
 
 
+# M, the fewest members a worker process is started for (module docstring)
+_WORKER_MEMBERS = 1 << 15
+
+
 def _scan_chunk(args) -> dict:
     n, e, charges, m, vectors = args
     return _Chunk(n, e, charges, m).run(vectors)
@@ -311,11 +339,13 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     defect from its first signature.  The multicharge is normalised into the
     fundamental domain first, and the abacus window is
     n + max(normalised charges) + 1.  The rank vectors are cut into at
-    most k = min(jobs, ``os.cpu_count()``) contiguous runs: a vector whose
+    most k contiguous runs, k = min(jobs, ``os.cpu_count()``, members //
+    ``_WORKER_MEMBERS``) but at least 1, so that a worker is started only
+    for every 2^15 members (see the module docstring): a vector whose
     first member has index i, counted from the partition numbers, goes
-    whole to chunk i*k // members, and empty chunks are dropped.  A single
-    chunk runs in this process, more run in a pool with one worker per
-    chunk."""
+    whole to chunk i*k // members, and empty chunks are dropped.  A
+    single chunk runs in this process and loads no pool, more run in a
+    pool with one worker per chunk."""
     if l < 1:
         raise ValueError("level must be at least 1")
     if n < 0:
@@ -330,12 +360,12 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     m = n + max(norm) + 1
 
     # each rank vector goes whole to the chunk where its first member falls
-    jobs = min(jobs, os.cpu_count() or 1)
     total, before = count_multipartitions(l, n), 0
-    shares: list = [[] for _ in range(jobs)]
+    k = max(1, min(jobs, os.cpu_count() or 1, total // _WORKER_MEMBERS))
+    shares: list = [[] for _ in range(k)]
     for ranks in rank_vectors(n, l):
-        shares[before * jobs // total].append(ranks)
-        before += prod(len(partitions_of(k)) for k in ranks)
+        shares[before * k // total].append(ranks)
+        before += prod(len(partitions_of(rank)) for rank in ranks)
     chunks = [(n, e, norm, m, share) for share in shares if share]
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]
@@ -359,7 +389,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # here from n.bit_length() bits per class
     bits = n.bit_length()
     keys = [tuple(packed >> r * bits & (1 << bits) - 1 for r in range(e)) for packed in merged]
-    cores = [weights.key_core(key, n, norm, m) for key in keys]
+    cores = [weights.key_core(key, norm, m) for key in keys]
     shared = Counter(result[:2] for result in cores)
     blocks = []
     for key, result, (members, signatures) in zip(keys, cores, merged.values()):

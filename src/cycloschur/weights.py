@@ -33,11 +33,11 @@ number of moves.  It has two entry points.  ``core`` packs the beads of
 a multipartition from the lowest gap of all runners
 (``abacus.active_beads``), so its cost does not grow with the window.
 ``key_core`` packs from the window floor 1 - m and needs only the
-residue vector and the rank: adding a box of residue r moves one bead
-from class r to class r + 1 and raises it by one, so the class totals
-are those of the empty runners with the key moved along, and the start
-potential is that of the empty runners plus level times rank.  The scan
-calls it once per block key.
+residue vector: adding a box of residue r moves one bead from class r
+to class r + 1 and raises it by one, so the class totals are those of
+the empty runners with the key moved along, and the start potential is
+that of the empty runners plus level times rank, the sum of the key.
+The scan calls it once per block key.
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -240,14 +240,15 @@ def terminal_core(
     return CoreResult(Multipartition(comps), tuple(charges), moves)
 
 
-def key_core(key: Sequence[int], rank: int, charges: Sequence[int], m: int) -> CoreResult:
-    """The reduction at window m of any multipartition of this rank with
-    residue vector key, one count per class mod e = len(key)."""
+def key_core(key: Sequence[int], charges: Sequence[int], m: int) -> CoreResult:
+    """The reduction at window m of any multipartition with residue vector
+    key, one count per class mod e = len(key); every box has one residue,
+    so its rank is sum(key)."""
     e = len(key)
     empty, potential = bead_state([beta_numbers(Partition(()), s, m) for s in charges], e)
     # each box of residue r raises one bead by one, from class r to r + 1
     totals = [count - key[r] + key[r - 1] for r, count in enumerate(empty)]
-    return terminal_core(totals, potential + len(charges) * rank, 1 - m, len(charges), e)
+    return terminal_core(totals, potential + len(charges) * sum(key), 1 - m, len(charges), e)
 
 
 def core(

@@ -375,7 +375,9 @@ def test_scan_report_roundtrip(tmp_path):
     assert json.dumps(again, indent=2, sort_keys=True) == text
 
 
-def test_scan_jobs_deterministic():
+def test_scan_jobs_deterministic(monkeypatch):
+    # through the real pool, cut as if one member repaid a worker process
+    monkeypatch.setattr(scanning, "_WORKER_MEMBERS", 1)
     a = scan(2, 4, 2, (0, 1), jobs=1)
     b = scan(2, 4, 2, (0, 1), jobs=2)
     c = scan(2, 4, 2, (0, 1), jobs=3)
@@ -600,25 +602,42 @@ import io, sys
 from contextlib import redirect_stdout
 sys.path.insert(0, sys.argv[1])
 import cycloschur.cli
-loaded = [sorted(m for m in sys.argv[2:] if m in sys.modules)]
+loaded = [sorted(m for m in sys.argv[3:] if m in sys.modules)]
 with redirect_stdout(io.StringIO()):
-    code = cycloschur.cli.main(["scan", "--l", "2", "--n", "3", "--e", "2", "--jobs", "1"])
-loaded.append(sorted(m for m in sys.argv[2:] if m in sys.modules))
+    code = cycloschur.cli.main(["scan", *sys.argv[2].split()])
+loaded.append(sorted(m for m in sys.argv[3:] if m in sys.modules))
 print(code, loaded)
 """
+HEAVY = ["multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"]
+
+
+def guarded_scan(args):
+    """The exit code of ``cycloschur scan`` with these arguments in a fresh
+    interpreter, and which of HEAVY were loaded after importing the CLI
+    and after the scan; -S keeps site's imports out."""
+    import cycloschur
+
+    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
+    done = subprocess.run(
+        [sys.executable, "-S", "-c", GUARD, src, args, *HEAVY],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    return done.stdout
 
 
 def test_import_and_serial_scan_load_no_pool_and_no_dataclasses():
     # neither importing the CLI nor a jobs=1 scan loads the process pool,
-    # and no record needs dataclasses; -S keeps site's imports out
-    import cycloschur
+    # and no record needs dataclasses
+    assert guarded_scan("--l 2 --n 3 --e 2 --jobs 1") == "0 [[], []]\n"
 
-    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
-    heavy = ["multiprocessing", "concurrent.futures.process", "dataclasses", "inspect"]
-    done = subprocess.run(
-        [sys.executable, "-S", "-c", GUARD, src, *heavy], capture_output=True, text=True, check=True
-    )
-    assert done.stdout == "0 [[], []]\n"
+
+def test_jobs_2_scan_below_two_workers_worth_opens_no_pool():
+    # the 12,230 members of (2, 18) are fewer than 2 * _WORKER_MEMBERS, so
+    # --jobs 2 runs the scan in the calling process and never loads the pool
+    assert 12230 < 2 * scanning._WORKER_MEMBERS
+    assert guarded_scan("--l 2 --n 18 --e 2 --jobs 2") == "0 [[], []]\n"
 
 
 def test_scan_keeps_no_per_member_cache():
@@ -662,10 +681,12 @@ def reference_scan(l, n, e, charges):
 
 @pytest.mark.parametrize("e", [2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
-def test_scan_matches_member_by_member_reference(l, e):
+def test_scan_matches_member_by_member_reference(monkeypatch, l, e):
     # every multicharge the scan normalises to; equal partitions under
-    # different charges, and chunks that each build their own tables, must
-    # give the reference report
+    # different charges, and chunks that each build their own tables in
+    # the real pool, cut as if one member repaid a worker, must give the
+    # reference report
+    monkeypatch.setattr(scanning, "_WORKER_MEMBERS", 1)
     for charges in combinations_with_replacement(range(e), l):
         for n in range(7):
             expected = reference_scan(l, n, e, charges)
@@ -695,7 +716,7 @@ def test_scan_cores_are_terminal_in_the_fundamental_domain():
     assert blocks == 2176
 
 
-def test_scan_builds_each_entry_once_per_chunk(monkeypatch):
+def test_scan_builds_each_entry_once_per_chunk(serial_pool, monkeypatch):
     # each chunk builds one entry per (partition, charge) its members use,
     # and no other; the chunks run in this process, so every chunk's calls
     # are counted
@@ -712,7 +733,6 @@ def test_scan_builds_each_entry_once_per_chunk(monkeypatch):
 
     monkeypatch.setattr(scanning, "_component", counting)
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     for jobs in (1, 2):
         calls.clear()
@@ -808,7 +828,7 @@ def test_slot_width_bounds_every_member():
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_entries_equal_their_builds(monkeypatch, jobs):
+def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
     # on every Tier-1 scan grid, a chunk makes exactly the entries its
     # members use, each the build of its (partition, charge) in the scan's
     # layout
@@ -820,7 +840,6 @@ def test_scan_entries_equal_their_builds(monkeypatch, jobs):
         return real_run(self, vectors)
 
     monkeypatch.setattr(scanning._Chunk, "run", recording)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     for l, e in product((1, 2, 3), (2, 3, 4)):
         for charges in combinations_with_replacement(range(e), l):
@@ -889,8 +908,8 @@ def test_scan_flags_uniform_fault_of_a_key_level_route(monkeypatch, weight_off, 
         weights, "residue_weight", lambda key, charges: real_weight(key, charges) + weight_off
     )
 
-    def moved(key, rank, charges, m):
-        result = real_core(key, rank, charges, m)
+    def moved(key, charges, m):
+        result = real_core(key, charges, m)
         return result._replace(weight=result.weight + moves_off)
 
     monkeypatch.setattr(weights, "key_core", moved)
@@ -906,12 +925,12 @@ def test_scan_detects_core_mutation(monkeypatch, capsys):
     key = residue_vector(parse_multipartition("2.1|0"), (0, 1), 2)
     other = residue_vector(parse_multipartition("3|0"), (0, 1), 2)
     original = weights.key_core
-    cores = [original(k, 3, (0, 1), 5) for k in (key, other)]
+    cores = [original(k, (0, 1), 5) for k in (key, other)]
     assert cores[0].weight == cores[1].weight
     assert cores[0][:2] != cores[1][:2]
 
-    def broken(k, rank, charges, m):
-        return original(other if k == key else k, rank, charges, m)
+    def broken(k, charges, m):
+        return original(other if k == key else k, charges, m)
 
     monkeypatch.setattr(scanning.weights, "key_core", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")
@@ -990,6 +1009,15 @@ class SerialPool:
         return map(fn, items)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Scans open SerialPool in place of the process pool and cut their
+    chunks as if one member repaid a worker process, so that jobs > 1
+    cuts a small grid into min(jobs, CPU count, members) chunks."""
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(scanning, "_WORKER_MEMBERS", 1)
+
+
 def chunk_members(l, n, jobs):
     """The members of each chunk of a level-l rank-n scan cut `jobs` ways,
     listed: the members of one rank vector go together to chunk
@@ -1002,7 +1030,7 @@ def chunk_members(l, n, jobs):
     return list(chunks.values())
 
 
-def test_scan_merge_flags_chunk_mismatch(monkeypatch):
+def test_scan_merge_flags_chunk_mismatch(serial_pool, monkeypatch):
     # only the second chunk builds its entries with a masked defect slot of
     # vp one too high, so each member's own defect term is; a block met by
     # both chunks gets a clean signature from the first and a faulty one
@@ -1023,7 +1051,6 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
 
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
     monkeypatch.setattr(scanning, "_component", component)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=2)
     first, second = partials
@@ -1038,30 +1065,41 @@ def test_scan_merge_flags_chunk_mismatch(monkeypatch):
     assert [b.violation for b in report.blocks] == [key in second for key in packed]
 
 
-def test_scan_starts_no_more_workers_than_chunks(monkeypatch):
-    # at most one worker per nonempty chunk and at most os.cpu_count()
-    # chunks; the pool is the in-process double, so no process is started
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
+def test_scan_starts_no_more_workers_than_chunks(serial_pool, monkeypatch):
+    # at most one worker per nonempty chunk, at most os.cpu_count() chunks
+    # and at most one chunk per M members, M = _WORKER_MEMBERS; the pool is
+    # the in-process double, so no process is started
     cases = [
-        (64, 1, 1, 8, []),  # one rank vector, one chunk: no pool
-        (2, 1, 6, 2, []),  # 11 members, still one rank vector
-        (64, 2, 3, 64, [4]),  # one worker per rank vector
+        # cpus, level, rank, jobs, M, pool sizes
+        (64, 1, 1, 8, 1, []),  # one rank vector, one chunk: no pool
+        (2, 1, 6, 2, 1, []),  # 11 members, still one rank vector
+        (64, 2, 3, 64, 1, [4]),  # one worker per rank vector
         # the 4 vectors of 3, 2, 2 and 3 members go to chunks 0, 1, 2, 2
-        (4, 2, 3, 64, [3]),
-        (3, 2, 6, 20000, [3]),
-        (None, 2, 3, 64, []),  # an unknown CPU count counts as one
+        (4, 2, 3, 64, 1, [3]),
+        (3, 2, 6, 20000, 1, [3]),
+        (None, 2, 3, 64, 1, []),  # an unknown CPU count counts as one
+        # 65 = 2M - 1 members are one chunk, 20 = 2M members two
+        (64, 2, 6, 64, 33, []),
+        (64, 2, 4, 64, 10, [2]),
+        (64, 2, 4, 1, 10, []),
+        (1, 2, 4, 64, 10, []),
+        # 20 members, M = 6: three chunks, unless jobs or the CPUs cap them
+        (64, 2, 4, 64, 6, [3]),
+        (64, 2, 4, 2, 6, [2]),
+        (2, 2, 4, 64, 6, [2]),
     ]
-    for cpus, level, rank, jobs, opened in cases:
+    for cpus, level, rank, jobs, least, opened in cases:
         charges = tuple(range(level))
         expected = scan(level, rank, 2, charges)
         monkeypatch.setattr(SerialPool, "opened", [])
         monkeypatch.setattr(scanning.os, "cpu_count", lambda: cpus)
+        monkeypatch.setattr(scanning, "_WORKER_MEMBERS", least)
         assert scan(level, rank, 2, charges, jobs=jobs) == expected
-        assert SerialPool.opened == opened, cpus
+        assert SerialPool.opened == opened, (cpus, level, rank, jobs, least)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
+def test_scan_reads_each_core_once_per_block_key(serial_pool, monkeypatch, jobs):
     # the merge reduces each key and packs and reads back its core once,
     # however many chunks met its block; the chunks run in this process, so
     # a call from one of them would be counted too
@@ -1078,7 +1116,6 @@ def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
 
     for name in ("key_core", "terminal_core"):
         monkeypatch.setattr(weights, name, counting(name))
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
@@ -1093,7 +1130,7 @@ def test_scan_reads_each_core_once_per_block_key(monkeypatch, jobs):
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, jobs):
+def test_scan_builds_one_multipartition_per_block_key_per_chunk(serial_pool, monkeypatch, jobs):
     # the walk builds no member; only the member-level cross-check on the
     # first member of each block in each chunk does
     built = []
@@ -1105,7 +1142,6 @@ def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, job
         return mp
 
     monkeypatch.setattr(scanning, "Multipartition", counting)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
@@ -1121,10 +1157,9 @@ def test_scan_builds_one_multipartition_per_block_key_per_chunk(monkeypatch, job
     assert built == firsts
 
 
-def test_scan_cuts_at_every_rank_vector_boundary(monkeypatch):
+def test_scan_cuts_at_every_rank_vector_boundary(serial_pool, monkeypatch):
     # 51 members in 15 rank vectors: with jobs = 51 every chunk holds one
     # vector, and the other job counts cut between vectors at other places
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
     assert count_multipartitions(3, 4) == 51
     expected = scan(3, 4, 2, (0, 0, 1))
@@ -1134,7 +1169,7 @@ def test_scan_cuts_at_every_rank_vector_boundary(monkeypatch):
         assert report.to_text() == expected.to_text(), jobs
 
 
-def test_scan_chunks_are_runs_of_whole_rank_vectors(monkeypatch):
+def test_scan_chunks_are_runs_of_whole_rank_vectors(serial_pool, monkeypatch):
     # each chunk walks a contiguous run of whole rank vectors, each vector
     # in the chunk where its first member falls, and no chunk is empty
     runs = []
@@ -1145,7 +1180,6 @@ def test_scan_chunks_are_runs_of_whole_rank_vectors(monkeypatch):
         return real_run(self, vectors)
 
     monkeypatch.setattr(scanning._Chunk, "run", recording)
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
     for l, n, jobs in product((1, 2, 3), range(7), (1, 2, 3, 5, 64)):
         runs.clear()

@@ -13,6 +13,7 @@ from itertools import combinations_with_replacement
 
 import pytest
 
+from cycloschur import scanning
 from cycloschur.cli import main
 
 # (l, n, e, charge, jobs, p)
@@ -120,5 +121,8 @@ def scan_digests(tmp_path, l, n, e, charge, jobs, p):
 
 
 @pytest.mark.parametrize("grid", GRIDS, ids=lambda g: "-".join(map(str, g)))
-def test_scan_reports_match_golden_digests(tmp_path, grid):
+def test_scan_reports_match_golden_digests(monkeypatch, tmp_path, grid):
+    # cut as if one member repaid a worker process, so that the jobs=2 grid
+    # runs in the real pool
+    monkeypatch.setattr(scanning, "_WORKER_MEMBERS", 1)
     assert scan_digests(tmp_path, *grid) == GOLDEN[grid]

@@ -314,9 +314,9 @@ def test_potential_moves_rejects_a_potential_it_cannot_reach():
 @pytest.mark.parametrize("e", [2, 3, 4])
 @pytest.mark.parametrize("l", [1, 2, 3])
 def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
-    # the scan reduces each block key at its rank: every member of the scan
-    # grids, at the scan window and at four times it, must have the core of
-    # its key
+    # the scan reduces each block key, which also fixes the rank: every
+    # member of the scan grids, at the scan window and at four times it,
+    # must have the core of its key
     for charges in combinations_with_replacement(range(e), l):
         for n in range(7):
             m = n + max(charges) + 1
@@ -324,4 +324,4 @@ def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
                 key = residue_vector(mp, charges, e)
                 for window in (m, 4 * m):
                     expected = core(mp, charges, e, window)
-                    assert key_core(key, n, charges, window) == expected, (mp, charges, window)
+                    assert key_core(key, charges, window) == expected, (mp, charges, window)
