@@ -170,9 +170,23 @@ def enumerate_multipartitions(l: int, n: int) -> Iterator[Multipartition]:
             yield Multipartition(combo)
 
 
+def partition_numbers(n: int) -> list[int]:
+    """The numbers of partitions of 0, 1, ..., n, counted one part size at
+    a time: after the sizes 1, ..., q, counts[k] is the number of
+    partitions of k into parts at most q.  Nothing is listed or cached."""
+    if n < 0:
+        raise ValueError("rank must be nonnegative")
+    counts = [1] + [0] * n
+    for q in range(1, n + 1):
+        for k in range(q, n + 1):
+            counts[k] += counts[k - q]
+    return counts
+
+
 def count_multipartitions(l: int, n: int) -> int:
     """The number of l-multipartitions of rank n, from the partition numbers."""
-    return sum(prod(len(partitions_of(k)) for k in ranks) for ranks in rank_vectors(n, l))
+    counts = partition_numbers(n)
+    return sum(prod(map(counts.__getitem__, ranks)) for ranks in rank_vectors(n, l))
 
 
 def format_partition(p: Partition) -> str:

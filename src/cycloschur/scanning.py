@@ -12,7 +12,10 @@ rule decides every block: it is a violation if its members leave more
 than one signature, if the four routes differ, or if another block has
 the same core and core multicharge.
 
-Each worker builds one entry per (partition, charge) its members use:
+Each worker builds its entries, one per (partition, charge), in one
+depth-first pass per distinct charge (``_columns``), over the
+partitions up to the largest rank its members give that charge; each
+node adds one table term per row to its parent's sums.  An entry holds
 the text, the packed residue counts and three ints in B-bit slots, laid
 out by ``_Layout`` as n*e defect slots (column j < n, residue r < e)
 and then 2m - 1 hook slots (window positions 1 - m to m - 1).  vp and
@@ -45,24 +48,8 @@ its blocks back, a member a few microseconds, so ``scan`` starts one
 worker per M = ``_WORKER_MEMBERS`` = 2^15 members at most: it cuts the
 rank vectors into k = min(jobs, CPU count, members // M) chunks, at
 least one, and a single chunk runs in the calling process.  The rule
-reads only the member count.  Median milliseconds of ``scan`` at jobs=1
-and at jobs=2 through the pool (cut as if M were 1), with the share of
-alternating process pairs that jobs=2 won (Python 3.11.7, 2 shared
-vCPUs, charges 0, 1, ..., l - 1):
-
-    (l, n, e)    members   wall 1 / 2   CPU 1 / 2   jobs=2 won
-    (2, 20, 2)    24,842     56 / 81      54 / 99     2 of 5
-    (2, 21, 2)    35,002    130 / 95     130 / 153    7 of 10
-    (3, 15, 3)    35,581     82 / 86      82 / 142    5 of 10
-    (4, 12, 3)    35,693    104 / 94     103 / 168    6 of 10
-    (2, 22, 2)    49,010    150 / 128    150 / 209    7 of 10
-    (3, 16, 3)    57,222    158 / 118    157 / 206    9 of 10
-    (2, 23, 2)    68,150    231 / 167    231 / 272    5 of 5
-    (2, 24, 2)    94,235    271 / 218    268 / 391    4 of 5
-    (2, 26, 2)   177,087    457 / 390    463 / 683    5 of 5
-
-The pool always took 1.2 to 1.8 times the CPU.  Below 2M = 65,536
-members it lost, tied or won unevenly; above, it won.
+reads only the member count.  README.md gives the measured crossover
+that M comes from.
 """
 
 from __future__ import annotations
@@ -71,8 +58,7 @@ import json
 import os
 from collections import Counter
 from math import prod
-from itertools import accumulate, count
-from operator import getitem, sub
+from itertools import accumulate
 from typing import NamedTuple
 
 from . import abacus, schur, weights
@@ -81,9 +67,8 @@ from .partitions import (
     count_multipartitions,
     format_multicharge,
     format_multipartition,
-    format_partition,
     parse_partition,
-    partitions_of,
+    partition_numbers,
     rank_vectors,
 )
 
@@ -226,62 +211,93 @@ class _Layout:
             self.key.append([runs[k][(y + base - k) % e] for y in range(w)])
 
 
-def _component(p, s: int, layout: _Layout) -> tuple:
-    """The entry of the partition p under the charge s: (text, key, vp,
-    vq, mask).  The key packs ``weights.residue_counts``, n.bit_length()
-    bits per class.  vp and vq hold the prefix row-residue counts
-    R[lam'_j][r] of ``schur.column_tables`` in their defect slots, and the
-    P and Q of ``abacus.hook_table`` over the window in their hook slots.
-    mask is all ones at (j, shift_j) for every column j < n and at every
-    bead in the window.  Row i's bead sits at p_i - i + s, window index
-    p_i - i + s + m - 1 (i from 0), and the window is full below the
-    index s - len(p) + m, the lowest gap."""
-    ys = list(map(sub, p, count(1 - layout.m - s)))
-    gap = s - len(p) + layout.m
-    vp = layout.gaps[gap] + sum(map(getitem, map(layout.vp.__getitem__, p), ys))
-    mask = (
-        layout.full[gap]
-        + layout.free[s % layout.e]
-        + sum(map(getitem, map(layout.mask.__getitem__, p), ys))
-    )
-    return (
-        format_partition(p),
-        sum(map(getitem, map(layout.key.__getitem__, p), ys)),
-        vp,
-        vp + (layout.units & ~mask),
-        mask,
-    )
+def _columns(s: int, ranks, layout: _Layout) -> list:
+    """The entries of the partitions of the given ranks under the charge
+    s, in one depth-first pass over every partition of rank at most top =
+    max(ranks): cols[k] lists those of rank k, in ``partitions_of`` order,
+    each as (text, key, vp, vq, mask), for each k in ranks, and is None for
+    the other k <= top.  The key packs ``weights.residue_counts``,
+    n.bit_length() bits per class.  vp and vq hold the prefix row-residue
+    counts R[lam'_j][r] of ``schur.column_tables`` in their defect slots,
+    and the P and Q of ``abacus.hook_table`` over the window in their hook
+    slots.  mask is all ones at (j, shift_j) for every column j < n and at
+    every bead in the window.
+
+    A node of the pass is a partition p, and its children are p with one
+    more part q at most its last.  It carries its text and the sums over
+    its rows of the tables vp, mask and key, so a child adds one term
+    [q][y] to each sum, where y = q - len(p) + m - 1 + s is the window
+    index of the new row's bead.  The window is full below the index
+    s - len(p) + m, the lowest gap; that term, ``free`` and vq are added
+    when the entry is emitted.  The stack pops the children in descending
+    part order, so the preorder meets each rank's partitions in
+    ``partitions_of`` order.  The lower ranks are walked even when they
+    are not emitted, since they are the prefixes.  A stack, unlike a
+    closure that calls itself, leaves no reference cycle to the garbage
+    collector."""
+    m, units, top = layout.m, layout.units, max(ranks)
+    vp_rows, mask_rows, key_rows = layout.vp, layout.mask, layout.key
+    # the gap terms of a partition of `depth` parts
+    heads = [
+        (layout.gaps[s - depth + m], layout.full[s - depth + m] + layout.free[s % layout.e])
+        for depth in range(top + 1)
+    ]
+    names = [str(q) for q in range(top + 1)]
+    cols: list = [[] if k in ranks else None for k in range(top + 1)]
+    # a node: text, last part, rank, number of parts, and the row sums of
+    # vp, mask and key
+    stack = [("0", top, 0, 0, 0, 0, 0)]
+    while stack:
+        text, last, rank, depth, vp, mask, key = stack.pop()
+        col = cols[rank]
+        if col is not None:
+            gap_vp, gap_mask = heads[depth]
+            entry_vp, entry_mask = vp + gap_vp, mask + gap_mask
+            col.append((text, key, entry_vp, entry_vp + (units & ~entry_mask), entry_mask))
+        if rank == top:
+            continue
+        prefix = text + "." if depth else ""
+        y = m - 1 + s - depth
+        for q in range(1, min(last, top - rank) + 1):
+            stack.append(
+                (
+                    prefix + names[q],
+                    q,
+                    rank + q,
+                    depth + 1,
+                    vp + vp_rows[q][q + y],
+                    mask + mask_rows[q][q + y],
+                    key + key_rows[q][q + y],
+                )
+            )
+    return cols
 
 
 class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
-    ``parts`` maps a rank and a charge to the entries of all partitions of
-    that rank under that charge, in ``partitions_of`` order.  ``blocks``
-    maps a packed residue key to (members, signatures); the signatures
-    dict keeps each distinct (defect, hook count) pair once, in order of
-    first appearance."""
+    ``blocks`` maps a packed residue key to (members, signatures); the
+    signatures dict keeps each distinct (defect, hook count) pair once, in
+    order of first appearance."""
 
     def __init__(self, n: int, e: int, charges: tuple, m: int):
         self.e, self.charges = e, charges
         self.layout = _Layout(len(charges), n, e, m)
-        self.parts: dict = {}
         self.blocks: dict = {}
 
     def run(self, vectors) -> dict:
         """Walk every member of these rank vectors in enumeration order,
-        each vector whole, and return the blocks."""
+        each vector whole, and return the blocks.  The entries of each
+        distinct charge come from one ``_columns`` pass, up to the largest
+        rank that the vectors give that charge."""
+        wanted: dict = {}
         for ranks in vectors:
-            self.walk([self.column(k, s) for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
+            for k, s in zip(ranks, self.charges):
+                wanted.setdefault(s, set()).add(k)
+        columns = {s: _columns(s, ranks, self.layout) for s, ranks in wanted.items()}
+        for ranks in vectors:
+            self.walk([columns[s][k] for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
         return self.blocks
-
-    def column(self, k: int, s: int) -> list:
-        """The entries of all partitions of k under the charge s, in
-        ``partitions_of`` order, built once per chunk."""
-        col = self.parts.get((k, s))
-        if col is None:
-            col = self.parts[k, s] = [_component(p, s, self.layout) for p in partitions_of(k)]
-        return col
 
     def open_block(self, key: int, signature: tuple, text: str) -> tuple:
         """A new block from the first member the chunk meets, with that
@@ -362,10 +378,11 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # each rank vector goes whole to the chunk where its first member falls
     total, before = count_multipartitions(l, n), 0
     k = max(1, min(jobs, os.cpu_count() or 1, total // _WORKER_MEMBERS))
+    counts = partition_numbers(n)
     shares: list = [[] for _ in range(k)]
     for ranks in rank_vectors(n, l):
         shares[before * k // total].append(ranks)
-        before += prod(len(partitions_of(rank)) for rank in ranks)
+        before += prod(map(counts.__getitem__, ranks))
     chunks = [(n, e, norm, m, share) for share in shares if share]
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]

@@ -1,4 +1,5 @@
 import csv
+import gc
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from cycloschur.partitions import (
     enumerate_multipartitions,
     format_multicharge,
     format_multipartition,
+    format_partition,
     parse_multipartition,
     partitions_of,
     rank_vectors,
@@ -640,9 +642,20 @@ def test_jobs_2_scan_below_two_workers_worth_opens_no_pool():
     assert guarded_scan("--l 2 --n 18 --e 2 --jobs 2") == "0 [[], []]\n"
 
 
+def clear_caches():
+    """Empty every lru_cache of the package, so that what a scan leaves in
+    them does not depend on the tests before it."""
+    for name, module in list(sys.modules.items()):
+        if name == "cycloschur" or name.startswith("cycloschur."):
+            for value in list(vars(module).values()):
+                if callable(getattr(value, "cache_clear", None)):
+                    value.cache_clear()
+
+
 def test_scan_keeps_no_per_member_cache():
     import cycloschur
 
+    clear_caches()
     report = scan(2, 8, 2, (0, 1))
     members = sum(len(b.members) for b in report.blocks)
     for name in ("abacus", "cli", "groups", "partitions", "scanning", "schur", "weights"):
@@ -651,6 +664,19 @@ def test_scan_keeps_no_per_member_cache():
             info = getattr(value, "cache_info", None)
             if info is not None:
                 assert info().currsize < members, (name, value)
+
+
+def test_scan_leaves_no_reference_cycles():
+    # the entries and the walk are freed by reference counting alone: with
+    # the cyclic collector off, a scan leaves nothing for it to find
+    for args in ((2, 8, 2, (0, 1)), (3, 6, 3, (0, 1, 2)), (1, 7, 2, (1,))):
+        gc.collect()
+        gc.disable()
+        try:
+            scan(*args)
+            assert gc.collect() == 0, args
+        finally:
+            gc.enable()
 
 
 def reference_scan(l, n, e, charges):
@@ -717,31 +743,42 @@ def test_scan_cores_are_terminal_in_the_fundamental_domain():
 
 
 def test_scan_builds_each_entry_once_per_chunk(serial_pool, monkeypatch):
-    # each chunk builds one entry per (partition, charge) its members use,
-    # and no other; the chunks run in this process, so every chunk's calls
-    # are counted
-    calls = []
-    real_component, real_chunk = scanning._component, scanning._scan_chunk
+    # each chunk makes one pass per distinct charge, up to the largest rank
+    # its members give that charge, and keeps one entry per (partition,
+    # charge) its members use, and no other; the chunks run in this
+    # process, so every chunk's passes are counted
+    passes, entries = [], []
+    real_columns, real_chunk = scanning._columns, scanning._scan_chunk
 
-    def counting(p, s, layout):
-        calls[-1].append((p, s))
-        return real_component(p, s, layout)
+    def counting(s, ranks, layout):
+        cols = real_columns(s, ranks, layout)
+        passes[-1].append((s, max(ranks)))
+        entries[-1].extend((entry[0], s) for col in cols if col is not None for entry in col)
+        return cols
 
     def chunk(args):
-        calls.append([])
+        passes.append([])
+        entries.append([])
         return real_chunk(args)
 
-    monkeypatch.setattr(scanning, "_component", counting)
+    monkeypatch.setattr(scanning, "_columns", counting)
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
-    for jobs in (1, 2):
-        calls.clear()
-        assert scan(2, 5, 2, (0, 1), jobs=jobs).violations == 0
+    for charges, jobs in product(((0, 1), (0, 0)), (1, 2)):
+        passes.clear()
+        entries.clear()
+        assert scan(2, 5, 2, charges, jobs=jobs).violations == 0
         used = [
-            sorted({pair for mp in members for pair in zip(mp, (0, 1))})
+            {pair for mp in members for pair in zip(mp, charges)}
             for members in chunk_members(2, 5, jobs)
         ]
-        assert [sorted(chunk) for chunk in calls] == used, jobs
+        tops = [
+            sorted({s: max(p.rank for p, t in pairs if t == s) for _, s in pairs}.items())
+            for pairs in used
+        ]
+        texts = [sorted((format_partition(p), s) for p, s in pairs) for pairs in used]
+        assert [sorted(chunk) for chunk in passes] == tops, (charges, jobs)
+        assert [sorted(chunk) for chunk in entries] == texts, (charges, jobs)
 
 
 def packed_slots(x, layout):
@@ -764,31 +801,49 @@ def list_tables(p, s, layout):
     )
 
 
+def check_entry(entry, p, s, layout):
+    """Assert that the packed entry of p under s holds its text, its
+    residue counts, its column tables and its hook table, and that its own
+    term is the pair (c, c) of both routes; return the list tables."""
+    n, e = layout.n, layout.e
+    text, key, vp, vq, mask = entry
+    where = (n, e, layout.m, p, s)
+    (rows, shifts), (p_vals, q_vals), at = tables = list_tables(p, s, layout)
+    assert text == format_partition(p), where
+    assert key == sum(c << n.bit_length() * r for r, c in enumerate(residue_counts(p, s, e))), where
+    padded = [list(row) for row in rows] + [[0] * e] * (n - len(rows))
+    assert packed_slots(vp, layout) == (padded, p_vals), where
+    assert packed_slots(vq, layout) == (padded, q_vals), where
+    ones = layout.ones
+    beads = [ones * (i in at) for i in range(len(q_vals))]
+    columns = [[ones * (r == shift) for r in range(e)] for shift in shifts]
+    assert packed_slots(mask, layout) == (columns, beads), where
+    columns, window = packed_slots(vp & mask, layout)
+    assert sum(map(sum, columns)) == sum(map(getitem, rows, shifts)), where
+    assert sum(window) == sum(map(p_vals.__getitem__, at)), where
+    return tables
+
+
 def test_packed_terms_match_the_list_tables():
     # every (partition, charge) of the Tier-1 scan grids, windows narrower
-    # than e included: the packed entry's slots are the column tables and
-    # the hook table, its own term is the pair (c, c) of both routes, and
-    # the pair term of any two entries a, c is the pairs (a, c) and (c, a)
+    # than e included: one pass per charge lists the partitions of each
+    # rank in partitions_of order, the packed entry's slots are the column
+    # tables and the hook table, its own term is the pair (c, c) of both
+    # routes, and the pair term of any two entries a, c is the pairs (a, c)
+    # and (c, a)
     pairs = 0
     for l, e in product((1, 2, 3), (2, 3, 4)):
         for n, top in product(range(7), range(e)):
             layout = scanning._Layout(l, n, e, n + top + 1)
             entries = []
-            for p, s in product([p for k in range(n + 1) for p in partitions_of(k)], range(top + 1)):
-                _, key, vp, vq, mask = scanning._component(p, s, layout)
-                (rows, shifts), (p_vals, q_vals), at = tables = list_tables(p, s, layout)
-                assert key == sum(c << n.bit_length() * r for r, c in enumerate(residue_counts(p, s, e)))
-                padded = [list(row) for row in rows] + [[0] * e] * (n - len(rows))
-                assert packed_slots(vp, layout) == (padded, p_vals), (l, n, e, top, p, s)
-                assert packed_slots(vq, layout) == (padded, q_vals), (l, n, e, top, p, s)
-                ones = layout.ones
-                beads = [ones * (i in at) for i in range(len(q_vals))]
-                columns = [[ones * (r == shift) for r in range(e)] for shift in shifts]
-                assert packed_slots(mask, layout) == (columns, beads), (l, n, e, top, p, s)
-                columns, window = packed_slots(vp & mask, layout)
-                assert sum(map(sum, columns)) == sum(map(getitem, rows, shifts))
-                assert sum(window) == sum(map(p_vals.__getitem__, at))
-                entries.append((sum(p), vp, vq, mask, tables))
+            for s in range(top + 1):
+                cols = scanning._columns(s, range(n + 1), layout)
+                assert len(cols) == n + 1
+                for k, col in enumerate(cols):
+                    assert len(col) == len(partitions_of(k)), (l, n, e, top, s, k)
+                    for p, entry in zip(partitions_of(k), col):
+                        _, _, vp, vq, mask = entry
+                        entries.append((k, vp, vq, mask, check_entry(entry, p, s, layout)))
             for (k_a, vp_a, _, mask_a, tables_a), (k_c, _, vq_c, mask_c, tables_c) in product(
                 entries, repeat=2
             ):
@@ -829,17 +884,26 @@ def test_slot_width_bounds_every_member():
 
 @pytest.mark.parametrize("jobs", [1, 2])
 def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
-    # on every Tier-1 scan grid, a chunk makes exactly the entries its
-    # members use, each the build of its (partition, charge) in the scan's
-    # layout
+    # on every Tier-1 scan grid, a chunk keeps exactly the entries its
+    # members use, each holding the list tables of its (partition, charge)
+    # in the scan's layout
     chunks = []
-    real_run = scanning._Chunk.run
+    real_run, real_columns = scanning._Chunk.run, scanning._columns
 
     def recording(self, vectors):
-        chunks.append((self, vectors))
+        chunks.append((vectors, {}))
         return real_run(self, vectors)
 
+    def columns(s, ranks, layout):
+        cols = real_columns(s, ranks, layout)
+        made = chunks[-1][1]
+        for k, col in enumerate(cols):
+            for p, entry in zip(partitions_of(k), col or ()):
+                made[p, s] = entry
+        return cols
+
     monkeypatch.setattr(scanning._Chunk, "run", recording)
+    monkeypatch.setattr(scanning, "_columns", columns)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     for l, e in product((1, 2, 3), (2, 3, 4)):
         for charges in combinations_with_replacement(range(e), l):
@@ -848,12 +912,7 @@ def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
                 scan(l, n, e, charges, jobs=jobs)
                 members = list(enumerate_multipartitions(l, n))
                 layout = scanning._Layout(l, n, e, n + max(charges) + 1)
-                for chunk, vectors in chunks:
-                    made = {
-                        (partitions_of(k)[i], s): entry
-                        for (k, s), col in chunk.parts.items()
-                        for i, entry in enumerate(col)
-                    }
+                for vectors, made in chunks:
                     used = {
                         pair
                         for mp in members
@@ -862,8 +921,7 @@ def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
                     }
                     assert made.keys() == used, (l, n, e, charges, jobs)
                     for (p, s), entry in made.items():
-                        full = scanning._component(p, s, layout)
-                        assert entry == full, (p, s, l, n, e, charges, jobs)
+                        check_entry(entry, p, s, layout)
 
 
 def test_scan_flags_hook_mutation_of_one_component(monkeypatch, capsys):
@@ -1036,7 +1094,7 @@ def test_scan_merge_flags_chunk_mismatch(serial_pool, monkeypatch):
     # both chunks gets a clean signature from the first and a faulty one
     # from the second, and the merge must keep both
     partials = []
-    real_chunk, real_component = scanning._scan_chunk, scanning._component
+    real_chunk, real_columns = scanning._scan_chunk, scanning._columns
 
     def chunk(args):
         blocks = real_chunk(args)
@@ -1044,13 +1102,18 @@ def test_scan_merge_flags_chunk_mismatch(serial_pool, monkeypatch):
         partials.append({key: set(signatures) for key, (_, signatures) in blocks.items()})
         return blocks
 
-    def component(*args):
-        text, key, vp, vq, mask = real_component(*args)
+    def columns(*args):
+        cols = real_columns(*args)
+        if not partials:
+            return cols
         # the lowest masked slot is column 0's, in the defect region
-        return (text, key, vp + (mask & -mask) if partials else vp, vq, mask)
+        return [
+            col and [(text, key, vp + (mask & -mask), vq, mask) for text, key, vp, vq, mask in col]
+            for col in cols
+        ]
 
     monkeypatch.setattr(scanning, "_scan_chunk", chunk)
-    monkeypatch.setattr(scanning, "_component", component)
+    monkeypatch.setattr(scanning, "_columns", columns)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=2)
     first, second = partials
@@ -1199,21 +1262,23 @@ def test_scan_flags_a_fault_in_the_nested_sums(monkeypatch, capsys, field):
     # (c, c) term of that route is: the member-level routes never read it,
     # so every block holding a member with that component, and no other,
     # gets a second signature
-    real = scanning._component
+    real = scanning._columns
 
-    def broken(p, s, layout):
-        text, key, vp, vq, mask = real(p, s, layout)
-        if (p, s) == ((2, 1), 0):
-            region = mask if field == "defect" else mask >> layout.split << layout.split
-            vp += region & -region
-        return text, key, vp, vq, mask
+    def broken(s, ranks, layout):
+        cols = real(s, ranks, layout)
+        for col in cols if s == 0 else ():
+            for i, (text, key, vp, vq, mask) in enumerate(col or ()):
+                if text == "2.1":
+                    region = mask if field == "defect" else mask >> layout.split << layout.split
+                    col[i] = (text, key, vp + (region & -region), vq, mask)
+        return cols
 
     clean = scan(3, 5, 2, (0, 0, 1))
     affected = [
         any("2.1" in member.split("|")[:2] for member in b.members) for b in clean.blocks
     ]
     assert 0 < sum(affected) < len(affected)
-    monkeypatch.setattr(scanning, "_component", broken)
+    monkeypatch.setattr(scanning, "_columns", broken)
     code, out, _ = run(capsys, "scan", "--l", "3", "--n", "5", "--e", "2", "--charge", "0,0,1")
     assert code == 1
     heads = [line for line in out.splitlines() if line.startswith("block ")]

@@ -15,6 +15,7 @@ from cycloschur.partitions import (
     n_invariant,
     parse_multicharge,
     parse_multipartition,
+    partition_numbers,
     partitions_of,
     rank_vectors,
 )
@@ -166,6 +167,17 @@ def test_enumeration_count_matches_dp():
         for n in range(0, 9):
             got = sum(1 for _ in enumerate_multipartitions(l, n))
             assert got == _count_by_dp(l, n), (l, n)
+
+
+def test_partition_numbers_count_the_listed_partitions():
+    try:
+        assert partition_numbers(40) == [len(partitions_of(k)) for k in range(41)]
+    finally:
+        # the listed partitions of every rank up to 40 are not kept
+        partitions_of.cache_clear()
+    assert partition_numbers(0) == [1]
+    with pytest.raises(ValueError):
+        partition_numbers(-1)
 
 
 def test_count_multipartitions_matches_enumeration():
