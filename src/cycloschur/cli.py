@@ -381,9 +381,8 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         default=1,
         help="at most this many worker processes, at most the CPU count and at most"
-        " one per 2^15 members, so fewer than 65,536 members run in this process"
-        " (below that, the pool took 1.2-1.8x the CPU for uneven wall-time gains;"
-        " see README)",
+        " one per 2^15 members, so fewer than 65,536 members run in this process;"
+        " see README",
     )
     p.add_argument("--csv", help="write per-member rows to this path")
     p.add_argument("--json", help="write the report to this path")

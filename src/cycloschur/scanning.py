@@ -7,10 +7,14 @@ weight from the bead reduction, the defect read off the Schur factors
 and the divisible-hook count.  The first two, the core and its charges
 depend only on the key and the rank (``weights.key_core``), so they are
 computed once per key, after the enumeration.  Each member leaves its
-signature, its defect and divisible-hook count, in its block, and one
-rule decides every block: it is a violation if its members leave more
-than one signature, if the four routes differ, or if another block has
-the same core and core multicharge.
+signature, its defect and divisible-hook count, in its block.  After the
+merge, the first member of each block is also run through the
+member-level routes, ``schur.defect_integer`` and
+``abacus.count_divisible_hooks``, once per block: a second signature
+that shares no data with the walk, so a fault of the entries or the walk
+leaves two.  One rule decides every block: it is a violation if it holds
+more than one signature, if the four routes differ, or if another block
+has the same core and core multicharge.
 
 Each worker builds its entries, one per (partition, charge), in one
 depth-first pass per distinct charge (``_columns``), over the
@@ -33,15 +37,13 @@ its own pair (c, c) and every vp_a & mask_c at once, and vq_c & mask_a
 for each earlier a.  A member's hook count is h = (x >> B n e) mod
 (2^B - 1) and its defect x mod (2^B - 1) - h.  This is exact because
 B = (T + 1).bit_length() for a bound T on the slot total of any member
-(``_slot_bits``), so no slot carries.  The first member of a block that
-a worker meets is also run through the member-level routes,
-``schur.defect_integer`` and ``abacus.count_divisible_hooks``: a second
-signature that shares no data with the walk, so a fault of the entries
-or the walk leaves two.  A chunk of the enumeration is a run of whole
-rank vectors, and it returns its blocks under their packed keys, which
-``scan`` unpacks into tuples once per block, after the merge.  The
-partial blocks are merged in enumeration order, so the output is
-byte-identical for any worker count.
+(``_slot_bits``), so no slot carries.  A chunk of the enumeration is a
+run of whole rank vectors, and it only walks and groups: it returns its
+blocks under their packed keys, which ``scan`` unpacks into tuples once
+per block, after the merge.  The partial blocks are merged in
+enumeration order, and every per-block decision is made once, in one
+loop in the calling process, so the output is byte-identical for any
+worker count, even when a route is faulty.
 
 A worker process costs tens of milliseconds of CPU to start and to send
 its blocks back, a member a few microseconds, so ``scan`` starts one
@@ -63,11 +65,10 @@ from typing import NamedTuple
 
 from . import abacus, schur, weights
 from .partitions import (
-    Multipartition,
     count_multipartitions,
     format_multicharge,
     format_multipartition,
-    parse_partition,
+    parse_multipartition,
     partition_numbers,
     rank_vectors,
 )
@@ -277,11 +278,12 @@ class _Chunk:
     """The per-chunk tables of a scan and its walk over the members.
 
     ``blocks`` maps a packed residue key to (members, signatures); the
-    signatures dict keeps each distinct (defect, hook count) pair once, in
-    order of first appearance."""
+    signatures dict keeps each distinct (defect, hook count) pair of the
+    walk once, in order of first appearance.  The member-level routes run
+    in ``scan``, once per block, after the merge."""
 
     def __init__(self, n: int, e: int, charges: tuple, m: int):
-        self.e, self.charges = e, charges
+        self.charges = charges
         self.layout = _Layout(len(charges), n, e, m)
         self.blocks: dict = {}
 
@@ -298,18 +300,6 @@ class _Chunk:
         for ranks in vectors:
             self.walk([columns[s][k] for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
         return self.blocks
-
-    def open_block(self, key: int, signature: tuple, text: str) -> tuple:
-        """A new block from the first member the chunk meets, with that
-        member's signature and, as a second one, its defect and hook count
-        by the member-level routes."""
-        mp = Multipartition(parse_partition(t) for t in text.split("|"))
-        checked = (
-            schur.defect_integer(mp, self.charges, self.e),
-            abacus.count_divisible_hooks(abacus.multi_beta(mp, self.charges), self.e),
-        )
-        block = self.blocks[key] = ([], {signature: None, checked: None})
-        return block
 
     def walk(self, cols, c, text, key, total, vps, masks):
         """The members below the components chosen before c, whose prefix
@@ -334,10 +324,9 @@ class _Chunk:
                 continue
             h = (x >> split) % ones
             d = x % ones - h
-            member = text + t
-            members, signatures = blocks.get(k) or self.open_block(k, (d, h), member)
+            members, signatures = blocks.get(k) or blocks.setdefault(k, ([], {}))
             signatures[d, h] = None
-            members.append(member)
+            members.append(text + t)
 
 
 # M, the fewest members a worker process is started for (module docstring)
@@ -412,6 +401,10 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     for key, result, (members, signatures) in zip(keys, cores, merged.values()):
         weight = weights.residue_weight(key, norm)
         defect, hooks = next(iter(signatures))
+        # the member-level routes give the first member a second signature
+        mp = parse_multipartition(members[0])
+        beads = abacus.multi_beta(mp, norm)
+        signatures[schur.defect_integer(mp, norm, e), abacus.count_divisible_hooks(beads, e)] = None
         violation = (
             len(signatures) > 1
             or not weight == result.weight == defect == hooks

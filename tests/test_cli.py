@@ -1193,31 +1193,77 @@ def test_scan_reads_each_core_once_per_block_key(serial_pool, monkeypatch, jobs)
 
 
 @pytest.mark.parametrize("jobs", [1, 2])
-def test_scan_builds_one_multipartition_per_block_key_per_chunk(serial_pool, monkeypatch, jobs):
-    # the walk builds no member; only the member-level cross-check on the
-    # first member of each block in each chunk does
-    built = []
-    real = scanning.Multipartition
+def test_scan_runs_the_member_level_routes_once_per_block(serial_pool, monkeypatch, jobs):
+    # the walk builds no member; only the merge parses the first member of
+    # each block and runs it through the member-level routes, once per
+    # block however many chunks met it; the chunks run in this process, so
+    # a call from one of them would be counted too
+    calls = []
 
-    def counting(components):
-        mp = real(components)
-        built.append(mp)
-        return mp
+    def recording(module, name):
+        real = getattr(module, name)
 
-    monkeypatch.setattr(scanning, "Multipartition", counting)
+        def wrapper(*args):
+            calls.append((name, args))
+            return real(*args)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    recording(scanning, "parse_multipartition")
+    recording(abacus, "multi_beta")
+    recording(scanning.schur, "defect_integer")
+    recording(abacus, "count_divisible_hooks")
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     report = scan(2, 6, 2, (0, 1), jobs=jobs)
     assert report.violations == 0
-    firsts = []
-    for members in chunk_members(2, 6, jobs):
-        keys = set()
-        for mp in members:
-            key = residue_vector(mp, (0, 1), 2)
-            if key not in keys:
-                keys.add(key)
-                firsts.append(mp)
-    assert (len(firsts) > len(report.blocks)) == (jobs > 1)
-    assert built == firsts
+    keys = sum(
+        len({residue_vector(mp, (0, 1), 2) for mp in members})
+        for members in chunk_members(2, 6, jobs)
+    )
+    # with two chunks some block is met by both
+    assert (keys > len(report.blocks)) == (jobs > 1)
+    expected = []
+    for block in report.blocks:
+        mp = parse_multipartition(block.members[0])
+        beads = multi_beta(mp, (0, 1))
+        expected += [
+            ("parse_multipartition", (block.members[0],)),
+            ("multi_beta", (mp, (0, 1))),
+            ("defect_integer", (mp, (0, 1), 2)),
+            ("count_divisible_hooks", (beads, 2)),
+        ]
+    assert calls == expected
+
+
+def test_scan_report_ignores_the_chunking_under_a_member_level_fault(serial_pool, monkeypatch):
+    # defect_integer is one too high on a single member, the first member
+    # its block meets in the second chunk of a jobs=2 scan but not the
+    # block's own first member: the member-level routes run only on a
+    # block's first member, so neither job count sees the fault, and when
+    # the fault sits on that first member both flag the block
+    first, second = chunk_members(2, 6, 2)
+    firsts = {}
+    for mp in first:
+        firsts.setdefault(residue_vector(mp, (0, 1), 2), mp)
+    # the first member of the second chunk whose block the first chunk met
+    met = next(mp for mp in second if residue_vector(mp, (0, 1), 2) in firsts)
+    assert format_multipartition(met) == "2|4"
+    real = scanning.schur.defect_integer
+    monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
+    for faulty, flagged in ((met, False), (firsts[residue_vector(met, (0, 1), 2)], True)):
+
+        def broken(member, charges, e, faulty=faulty):
+            return real(member, charges, e) + (member == faulty)
+
+        monkeypatch.setattr(scanning.schur, "defect_integer", broken)
+        serial, pooled = scan(2, 6, 2, (0, 1)), scan(2, 6, 2, (0, 1), jobs=2)
+        assert pooled == serial
+        assert pooled.to_text() == serial.to_text()
+        faulty_text = format_multipartition(faulty)
+        assert [b.violation for b in serial.blocks] == [
+            flagged and faulty_text in b.members for b in serial.blocks
+        ]
+        assert serial.violations == flagged
 
 
 def test_scan_cuts_at_every_rank_vector_boundary(serial_pool, monkeypatch):
