@@ -245,9 +245,10 @@ def _cmd_glpn(args) -> int:
 def _cmd_scan(args) -> int:
     """Every output path is opened before the scan, in append mode, which
     creates a missing file and empties none.  If anything fails from then
-    on (a path that cannot be opened, a write, a member the CSV refuses),
-    the files this command created are removed.  The files go before
-    stdout, so that a failure leaves stdout empty."""
+    on (a path that cannot be opened, a write, a member the CSV refuses,
+    the report on stdout), the files this command created are removed.
+    The files go before stdout, so that a failure in them leaves stdout
+    empty."""
     charges = _charges_for(args, args.l)
     if args.p is not None and args.csv is None:
         # orbit sizes go only to the CSV
@@ -272,12 +273,13 @@ def _cmd_scan(args) -> int:
         if args.json is not None:
             with open(args.json, "w") as fh:
                 fh.write(report.to_json_str() + "\n")
+        print(report.to_text())
+        sys.stdout.flush()
     except BaseException:
         for path in created:
             with contextlib.suppress(OSError):
                 os.remove(path)
         raise
-    print(report.to_text())
     return EXIT_VIOLATION if report.violations else EXIT_OK
 
 
@@ -406,13 +408,20 @@ def _join_list_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
+    if sys.stdout is None:
+        # Python runs with stdout closed, and print would drop the output
+        print("error: standard output is closed", file=sys.stderr)
+        return EXIT_USAGE
     try:
         args = build_parser().parse_args(_join_list_values(sys.argv[1:] if argv is None else argv))
     except SystemExit as exc:
         # argparse has printed its usage error (2) or its help (0)
         return exc.code
     try:
-        return args.func(args)
+        code = args.func(args)
+        # a write to stdout that fails is an I/O error of the command
+        sys.stdout.flush()
+        return code
     except schur.BadSpecialisationError as exc:
         print(f"bad specialisation: {exc}", file=sys.stderr)
         return EXIT_BAD_SPECIALISATION
@@ -426,7 +435,15 @@ def main(argv=None) -> int:
 
 
 def entrypoint() -> None:
-    sys.exit(main())
+    code = main()
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError:
+        # main has reported the failed write, whose text is still buffered:
+        # sent to devnull, it no longer fails the flush at exit (code 120)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    sys.exit(code)
 
 
 if __name__ == "__main__":

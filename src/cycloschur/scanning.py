@@ -9,12 +9,14 @@ depend only on the key and the rank (``weights.key_core``), so they are
 computed once per key, after the enumeration.  Each member leaves its
 signature, its defect and divisible-hook count, in its block.  After the
 merge, the first member of each block is also run through the
-member-level routes, ``schur.defect_integer`` and
-``abacus.count_divisible_hooks``, once per block: a second signature
-that shares no data with the walk, so a fault of the entries or the walk
-leaves two.  One rule decides every block: it is a violation if it holds
-more than one signature, if the four routes differ, or if another block
-has the same core and core multicharge.
+member-level routes, ``schur.defect_integer``,
+``abacus.count_divisible_hooks`` and ``weights.residue_vector``, once
+per block: a second signature and a key that share no data with the
+walk, so a fault of the entries or the walk leaves two signatures or a
+wrong key.  One rule decides every block: it is a violation if it holds
+more than one signature, if its first member's residue vector is not
+its key, if the four routes differ, or if another block has the same
+core and core multicharge.
 
 Each worker builds its entries, one per (partition, charge), in one
 depth-first pass per distinct charge (``_columns``), over the
@@ -38,7 +40,8 @@ for each earlier a.  A member's hook count is h = (x >> B n e) mod
 (2^B - 1) and its defect x mod (2^B - 1) - h.  This is exact because
 B = (T + 1).bit_length() for a bound T on the slot total of any member
 (``_slot_bits``), so no slot carries.  A chunk of the enumeration is a
-run of whole rank vectors, and it only walks and groups: it returns its
+run of whole rank vectors, and ``_scan_chunk`` only builds its entries,
+walks (``_walk``, once per rank vector) and groups: it returns its
 blocks under their packed keys, which ``scan`` unpacks into tuples once
 per block, after the merge.  The partial blocks are merged in
 enumeration order, and every per-block decision is made once, in one
@@ -65,7 +68,6 @@ from typing import NamedTuple
 
 from . import abacus, schur, weights
 from .partitions import (
-    count_multipartitions,
     format_multicharge,
     format_multipartition,
     parse_multipartition,
@@ -78,9 +80,9 @@ class BlockReport(NamedTuple):
     """One proxy block: key, members in enumeration order, the residue
     weight, the defect of its first member, and the core and core charges
     of its key.  ``violation`` is set when its members disagree on the
-    defect or the divisible-hook count, when the four weight routes
-    disagree, or when another block of the scan has the same core and
-    core charges."""
+    defect or the divisible-hook count, when its first member's residue
+    vector is not the key, when the four weight routes disagree, or when
+    another block of the scan has the same core and core charges."""
 
     key: tuple[int, ...]
     members: tuple[str, ...]
@@ -89,10 +91,6 @@ class BlockReport(NamedTuple):
     core: str
     core_charges: tuple[int, ...]
     violation: bool
-
-    def to_json(self) -> dict:
-        # tuples are written as JSON arrays, so nothing is copied
-        return self._asdict()
 
 
 class ScanReport(NamedTuple):
@@ -110,7 +108,8 @@ class ScanReport(NamedTuple):
     def to_json(self) -> dict:
         return {
             **self._asdict(),
-            "blocks": [b.to_json() for b in self.blocks],
+            # tuples are written as JSON arrays, so nothing is copied
+            "blocks": [b._asdict() for b in self.blocks],
             "violations": self.violations,
         }
 
@@ -274,59 +273,30 @@ def _columns(s: int, ranks, layout: _Layout) -> list:
     return cols
 
 
-class _Chunk:
-    """The per-chunk tables of a scan and its walk over the members.
-
-    ``blocks`` maps a packed residue key to (members, signatures); the
-    signatures dict keeps each distinct (defect, hook count) pair of the
-    walk once, in order of first appearance.  The member-level routes run
-    in ``scan``, once per block, after the merge."""
-
-    def __init__(self, n: int, e: int, charges: tuple, m: int):
-        self.charges = charges
-        self.layout = _Layout(len(charges), n, e, m)
-        self.blocks: dict = {}
-
-    def run(self, vectors) -> dict:
-        """Walk every member of these rank vectors in enumeration order,
-        each vector whole, and return the blocks.  The entries of each
-        distinct charge come from one ``_columns`` pass, up to the largest
-        rank that the vectors give that charge."""
-        wanted: dict = {}
-        for ranks in vectors:
-            for k, s in zip(ranks, self.charges):
-                wanted.setdefault(s, set()).add(k)
-        columns = {s: _columns(s, ranks, self.layout) for s, ranks in wanted.items()}
-        for ranks in vectors:
-            self.walk([columns[s][k] for k, s in zip(ranks, self.charges)], 0, "", 0, 0, 0, ())
-        return self.blocks
-
-    def walk(self, cols, c, text, key, total, vps, masks):
-        """The members below the components chosen before c, whose prefix
-        sums are the other arguments: the packed pair terms `total` of the
-        chosen components, the sum `vps` of their vp and their masks.
-        Component c adds its own term and, with each chosen component a,
-        the pairs (a, c) and (c, a) of both routes: vp_a & mask_c, summed
-        over a in one AND with its own vp_c & mask_c, and vq_c & mask_a.
-        A member's defect and hook count are the sums of the slots of its
-        two regions, read off mod 2^B - 1."""
-        last = len(cols) - 1
-        blocks = self.blocks
-        split, ones = self.layout.split, self.layout.ones
-        for t, k, vp, vq, mask in cols[c]:
-            v = vps + vp
-            x = total + (v & mask)
-            for mask_a in masks:
-                x += vq & mask_a
-            k += key
-            if c < last:
-                self.walk(cols, c + 1, text + t + "|", k, x, v, masks + (mask,))
-                continue
-            h = (x >> split) % ones
-            d = x % ones - h
-            members, signatures = blocks.get(k) or blocks.setdefault(k, ([], {}))
-            signatures[d, h] = None
-            members.append(text + t)
+def _walk(blocks, split, ones, cols, c, text, key, total, vps, masks) -> None:
+    """Group into ``blocks`` the members below the components chosen
+    before c, whose prefix sums are the packed pair terms `total`, the sum
+    `vps` of their vp and their masks.  Component c adds its own term and,
+    with each chosen component a, vp_a & mask_c, summed over a in one AND
+    with its own vp_c & mask_c, and vq_c & mask_a.  The defect and hook
+    count are read off mod 2^B - 1 = `ones`, the hook region from bit
+    `split` on.  Unlike a closure that calls itself, this leaves no
+    reference cycle."""
+    last = len(cols) - 1
+    for t, k, vp, vq, mask in cols[c]:
+        v = vps + vp
+        x = total + (v & mask)
+        for mask_a in masks:
+            x += vq & mask_a
+        k += key
+        if c < last:
+            _walk(blocks, split, ones, cols, c + 1, text + t + "|", k, x, v, masks + (mask,))
+            continue
+        h = (x >> split) % ones
+        d = x % ones - h
+        members, signatures = blocks.get(k) or blocks.setdefault(k, ([], {}))
+        signatures[d, h] = None
+        members.append(text + t)
 
 
 # M, the fewest members a worker process is started for (module docstring)
@@ -334,8 +304,25 @@ _WORKER_MEMBERS = 1 << 15
 
 
 def _scan_chunk(args) -> dict:
+    """Walk every member of the rank vectors of one chunk, args = (n, e,
+    charges, m, vectors), in enumeration order, each vector whole, and
+    return its blocks: a packed residue key maps to (members, signatures),
+    and the signatures dict keeps each distinct (defect, hook count) pair
+    once, in order of first appearance.  The entries of each distinct
+    charge come from one ``_columns`` pass, up to the largest rank that
+    the vectors give that charge."""
     n, e, charges, m, vectors = args
-    return _Chunk(n, e, charges, m).run(vectors)
+    layout = _Layout(len(charges), n, e, m)
+    wanted: dict = {}
+    for ranks in vectors:
+        for k, s in zip(ranks, charges):
+            wanted.setdefault(s, set()).add(k)
+    columns = {s: _columns(s, ranks, layout) for s, ranks in wanted.items()}
+    blocks: dict = {}
+    for ranks in vectors:
+        cols = [columns[s][k] for k, s in zip(ranks, charges)]
+        _walk(blocks, layout.split, layout.ones, cols, 0, "", 0, 0, 0, ())
+    return blocks
 
 
 def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
@@ -365,13 +352,14 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     m = n + max(norm) + 1
 
     # each rank vector goes whole to the chunk where its first member falls
-    total, before = count_multipartitions(l, n), 0
-    k = max(1, min(jobs, os.cpu_count() or 1, total // _WORKER_MEMBERS))
     counts = partition_numbers(n)
+    sizes = [(ranks, prod(map(counts.__getitem__, ranks))) for ranks in rank_vectors(n, l)]
+    total, before = sum(size for _, size in sizes), 0
+    k = max(1, min(jobs, os.cpu_count() or 1, total // _WORKER_MEMBERS))
     shares: list = [[] for _ in range(k)]
-    for ranks in rank_vectors(n, l):
+    for ranks, size in sizes:
         shares[before * k // total].append(ranks)
-        before += prod(map(counts.__getitem__, ranks))
+        before += size
     chunks = [(n, e, norm, m, share) for share in shares if share]
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]
@@ -402,11 +390,13 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
         weight = weights.residue_weight(key, norm)
         defect, hooks = next(iter(signatures))
         # the member-level routes give the first member a second signature
+        # and its own residue vector, which must be the key
         mp = parse_multipartition(members[0])
         beads = abacus.multi_beta(mp, norm)
         signatures[schur.defect_integer(mp, norm, e), abacus.count_divisible_hooks(beads, e)] = None
         violation = (
             len(signatures) > 1
+            or weights.residue_vector(mp, norm, e) != key
             or not weight == result.weight == defect == hooks
             or shared[result[:2]] > 1
         )

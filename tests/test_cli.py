@@ -1,4 +1,6 @@
+import contextlib
 import csv
+import errno
 import gc
 import hashlib
 import io
@@ -7,6 +9,7 @@ import os
 import random
 import re
 import shlex
+import shutil
 import subprocess
 import sys
 from itertools import combinations_with_replacement, groupby, product
@@ -211,6 +214,16 @@ def test_weight_and_core_commands(capsys):
     assert json.loads(out) == {"core": "2|0", "charges": [0, 2], "weight": 4}
 
 
+def test_weight_violation_exits_1_on_stderr(monkeypatch, capsys):
+    # the reduction weight one too high: the two routes disagree, and the
+    # command reports it on stderr alone
+    real = weights.uglov_weight
+    monkeypatch.setattr(weights, "uglov_weight", lambda mp, s, e: real(mp, s, e) + 1)
+    code, out, err = run(capsys, "weight", "2.1.1|2.1.1", "--charge", "0,2", "--e", "3")
+    assert (code, out) == (1, "")
+    assert err == "VIOLATION: residue weight 4 != reduction weight 5\n"
+
+
 def test_core_normalises_charges(capsys):
     # unsorted charge gets normalised instead of rejected
     code, out, _ = run(capsys, "core", "2.1.1|2.1.1", "--charge", "2,0", "--e", "3")
@@ -338,6 +351,52 @@ def test_readme_command_examples(tmp_path, monkeypatch, capsys):
             assert out == expected + "\n", argv
 
 
+def python_310():
+    """A Python 3.10 that runs, or None: ``python3.10`` on PATH, else
+    $PYENV_ROOT/versions/3.10*/bin/python3.10, each only if ``-c pass``
+    exits 0 (a pyenv shim of a version that is not selected exits 127)."""
+    found = [shutil.which("python3.10")]
+    if os.environ.get("PYENV_ROOT"):
+        found += sorted(Path(os.environ["PYENV_ROOT"]).glob("versions/3.10*/bin/python3.10"))
+    for python in filter(None, found):
+        if subprocess.run([python, "-c", "pass"], capture_output=True).returncode == 0:
+            return python
+    return None
+
+
+def cli_outputs(python, argvs, cwd):
+    """The exit code and stdout of each argv run as ``python -m
+    cycloschur.cli`` in cwd, from this checkout, and the files they wrote."""
+    env = {**os.environ, "PYTHONPATH": str(README.parent / "src")}
+    cwd.mkdir()
+    runs = [
+        subprocess.run(
+            [python, "-m", "cycloschur.cli", *argv], cwd=cwd, env=env, capture_output=True
+        )
+        for argv in argvs
+    ]
+    files = {path.name: path.read_bytes() for path in sorted(cwd.iterdir())}
+    return [(done.returncode, done.stdout) for done in runs], files
+
+
+def test_python_310_writes_the_same_bytes(tmp_path):
+    # the lowest Python that pyproject.toml admits prints and writes the
+    # same bytes as this one: the README examples, and the text, JSON and
+    # CSV with orbit sizes of two golden scans
+    python = python_310()
+    if python is None:
+        pytest.skip("no Python 3.10 runs here")
+    argvs = [argv for argv, _ in readme_commands()] + [
+        ["scan", "--l", "3", "--n", "8", "--e", "3", "--charge", "0,1,2", "--p", "3",
+         "--json", "a.json", "--csv", "a.csv"],
+        ["scan", "--l", "3", "--n", "6", "--e", "2", "--charge=-3,5,2", "--p", "3",
+         "--json", "b.json", "--csv", "b.csv"],
+    ]
+    old = cli_outputs(python, argvs, tmp_path / "old")
+    assert old == cli_outputs(sys.executable, argvs, tmp_path / "new")
+    assert {code for code, _ in old[0]} == {0} and len(old[1]) == 6
+
+
 def test_scan_exit_zero_and_text(capsys):
     code, out, _ = run(capsys, "scan", "--l", "1", "--n", "4", "--e", "2", "--charge", "0")
     assert code == 0
@@ -357,6 +416,28 @@ def test_scan_bad_params_exit_2(capsys):
     code, out, err = run(capsys, "scan", "--l", "2", "--n", "2", "--e", "2", "--charge", "0")
     assert (code, out) == (2, "")
     assert "has length 1, expected 2" in err
+
+
+@pytest.mark.parametrize(
+    "flag, value, message",
+    [("--jobs", "0", "jobs must be positive"), ("--n", "-1", "rank must be nonnegative"),
+     ("--l", "0", "level must be at least 1")],
+)
+def test_scan_argument_out_of_range_exits_2_and_leaves_no_file(
+    tmp_path, capsys, flag, value, message
+):
+    # scan checks its own arguments after the output paths are opened, so
+    # the file it created goes again; the library raises the same error
+    options = {"--l": "2", "--n": "3", "--e": "2", "--jobs": "1", flag: value}
+    path = tmp_path / "r.json"
+    argv = [word for pair in options.items() for word in pair]
+    code, out, err = run(capsys, "scan", *argv, "--json", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: {message}\n"
+    assert not path.exists()
+    l, n = int(options["--l"]), int(options["--n"])
+    with pytest.raises(ValueError, match=message):
+        scan(l, n, 2, (0,) * l, jobs=int(options["--jobs"]))
 
 
 def listed(x):
@@ -597,6 +678,58 @@ def test_scan_stdout_unchanged_with_files(tmp_path, capsys):
     )
     assert code == 0
     assert out == scan(2, 3, 2, (0, 1)).to_text() + "\n"
+
+
+class FullStdout(io.StringIO):
+    """An unbuffered standard output on a full disk: every write fails."""
+
+    def write(self, text):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+class BufferedFullStdout(io.StringIO):
+    """A buffered standard output on a full disk: the flush fails."""
+
+    def flush(self):
+        raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+
+@pytest.mark.parametrize(
+    "stdout", [None, FullStdout(), BufferedFullStdout()], ids=["closed", "full", "full-at-flush"]
+)
+@pytest.mark.parametrize("command", ["scan", "weight"])
+def test_failed_stdout_exits_2(tmp_path, capsys, stdout, command):
+    # with stdout closed no command runs, and a report that cannot be
+    # written to stdout is an I/O error; the scan removes the files it
+    # created, also when the report is lost
+    paths = [tmp_path / "r.json", tmp_path / "r.csv"]
+    argv = {
+        "scan": ["scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1",
+                 "--json", str(paths[0]), "--csv", str(paths[1])],
+        "weight": ["weight", "2.1.1|2.1.1", "--charge", "0,2", "--e", "3"],
+    }[command]
+    with contextlib.redirect_stdout(stdout):
+        code = main(argv)
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err == (
+        "error: standard output is closed\n" if stdout is None
+        else "error: [Errno 28] No space left on device\n"
+    )
+    assert not any(path.exists() for path in paths)
+
+
+def test_violating_scan_with_failed_stdout_exits_2(monkeypatch, tmp_path, capsys):
+    # the I/O error outranks the violation, and the JSON goes
+    real = abacus.count_divisible_hooks
+    monkeypatch.setattr(abacus, "count_divisible_hooks", lambda cfg, e: real(cfg, e) + 1)
+    path = tmp_path / "r.json"
+    argv = ["scan", "--l", "2", "--n", "4", "--e", "2", "--charge", "0,1", "--json", str(path)]
+    assert run(capsys, *argv)[0] == 1
+    path.unlink()
+    with contextlib.redirect_stdout(FullStdout()):
+        assert main(argv) == 2
+    assert not path.exists()
 
 
 GUARD = """
@@ -888,11 +1021,11 @@ def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
     # members use, each holding the list tables of its (partition, charge)
     # in the scan's layout
     chunks = []
-    real_run, real_columns = scanning._Chunk.run, scanning._columns
+    real_chunk, real_columns = scanning._scan_chunk, scanning._columns
 
-    def recording(self, vectors):
-        chunks.append((vectors, {}))
-        return real_run(self, vectors)
+    def recording(args):
+        chunks.append((args[-1], {}))
+        return real_chunk(args)
 
     def columns(s, ranks, layout):
         cols = real_columns(s, ranks, layout)
@@ -902,7 +1035,7 @@ def test_scan_entries_equal_their_builds(serial_pool, monkeypatch, jobs):
                 made[p, s] = entry
         return cols
 
-    monkeypatch.setattr(scanning._Chunk, "run", recording)
+    monkeypatch.setattr(scanning, "_scan_chunk", recording)
     monkeypatch.setattr(scanning, "_columns", columns)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 2)
     for l, e in product((1, 2, 3), (2, 3, 4)):
@@ -998,6 +1131,33 @@ def test_scan_detects_core_mutation(monkeypatch, capsys):
     for line in heads:
         assert "weight=2 defect=2 core=1|0 core_charges=0,1" in line
         assert line.endswith("VIOLATION")
+
+
+def test_scan_flags_a_rotated_key_table(monkeypatch):
+    # the layout's key tables count each box one residue up, so the walk
+    # files every member under the next class's key: the two blocks of
+    # (2, 3, 2) swap their keys and with them their cores, and the weights
+    # and signatures still agree; only the first member's own residue
+    # vector shows that the key is wrong
+    real = scanning._Layout.__init__
+
+    def rotated(self, l, n, e, m):
+        real(self, l, n, e, m)
+        bits = n.bit_length()
+
+        def rotate(packed):
+            counts = [packed >> r * bits & (1 << bits) - 1 for r in range(e)]
+            return sum(count << (r + 1) % e * bits for r, count in enumerate(counts))
+
+        self.key = [[rotate(x) for x in row] for row in self.key]
+
+    clean = scan(2, 3, 2, (0, 1))
+    monkeypatch.setattr(scanning._Layout, "__init__", rotated)
+    report = scan(2, 3, 2, (0, 1))
+    assert len(clean.blocks) == 2 and clean.violations == 0
+    assert [b.members for b in report.blocks] == [b.members for b in clean.blocks]
+    assert [(b.key, b.core) for b in report.blocks] == [(b.key, b.core) for b in clean.blocks[::-1]]
+    assert [b.violation for b in report.blocks] == [True, True]
 
 
 def test_scan_detects_shared_core(monkeypatch, capsys):
@@ -1282,13 +1442,13 @@ def test_scan_chunks_are_runs_of_whole_rank_vectors(serial_pool, monkeypatch):
     # each chunk walks a contiguous run of whole rank vectors, each vector
     # in the chunk where its first member falls, and no chunk is empty
     runs = []
-    real_run = scanning._Chunk.run
+    real_chunk = scanning._scan_chunk
 
-    def recording(self, vectors):
-        runs.append(list(vectors))
-        return real_run(self, vectors)
+    def recording(args):
+        runs.append(list(args[-1]))
+        return real_chunk(args)
 
-    monkeypatch.setattr(scanning._Chunk, "run", recording)
+    monkeypatch.setattr(scanning, "_scan_chunk", recording)
     monkeypatch.setattr(scanning.os, "cpu_count", lambda: 64)
     for l, n, jobs in product((1, 2, 3), range(7), (1, 2, 3, 5, 64)):
         runs.clear()
