@@ -17,6 +17,7 @@ import json
 import os
 import re
 import sys
+from itertools import compress, count
 
 from . import abacus, groups, schur, weights
 from .partitions import (
@@ -64,9 +65,6 @@ def _check_packages(level: int, p: int | None) -> None:
         raise ValueError("p must divide the level")
 
 
-_NEEDS_QUOTING = re.compile('[,"\r\n]')
-
-
 def _csv_fields(*values) -> str:
     """values as one CSV line without its terminator, quoted by the csv module."""
     buf = io.StringIO()
@@ -82,24 +80,35 @@ def write_scan_csv(report: ScanReport, path: str, p: int | None = None) -> None:
     block, and each member text goes between them as it is: the csv
     module writes a field raw unless it holds a comma, a quote, CR or LF,
     and a member holding one raises ValueError before the file is opened.
-    The file is written one block at a time."""
+    The orbit sizes come from ``groups.short_orbits``, built once per
+    file: a member it maps has that size, every other member has size p.
+    A run of size-p members between two short ones is written as one
+    string, its members joined by the end of one row and the fixed head
+    of the next; each short member is a row of its own."""
     _check_packages(report.level, p)
     for idx, b in enumerate(report.blocks):
-        if _NEEDS_QUOTING.search("".join(b.members)):
+        joined = "".join(b.members)
+        if "," in joined or '"' in joined or "\r" in joined or "\n" in joined:
             raise ValueError(f"block {idx} has a member that the CSV would quote")
     header = ["block_id", "residue_key", "multipartition", "weight", "defect", "core"]
+    short = {}
     if p is not None:
         header.append("orbit_size")
-        d = report.level // p
+        short = groups.short_orbits(report.level, report.rank, report.level // p, p)
     with open(path, "w", newline="") as fh:
         fh.write(_csv_fields(*header) + "\r\n")
         for idx, b in enumerate(report.blocks):
             head = _csv_fields(idx, format_multicharge(b.key)) + ","
             tail = "," + _csv_fields(b.weight, b.defect, b.core)
-            if p is None:
-                fh.writelines(f"{head}{m}{tail}\r\n" for m in b.members)
-            else:
-                fh.writelines(f"{head}{m}{tail},{groups.orbit(m, d, p)}\r\n" for m in b.members)
+            end = tail + ("\r\n" if p is None else f",{p}\r\n")
+            members, start = b.members, 0
+            for k in compress(count(), map(short.__contains__, members)):
+                if start < k:
+                    fh.write(head + (end + head).join(members[start:k]) + end)
+                fh.write(f"{head}{members[k]}{tail},{short[members[k]]}\r\n")
+                start = k + 1
+            if start < len(members):
+                fh.write(head + (end + head).join(members[start:]) + end)
 
 
 def _charges_for(args, level: int) -> tuple[int, ...]:

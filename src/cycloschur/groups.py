@@ -19,8 +19,14 @@ from __future__ import annotations
 from math import gcd
 from typing import Sequence
 
-from .partitions import Multipartition, format_multipartition
-from .schur import CycloSpec, defect_general, defect_integer, specialize_integer
+from .partitions import Multipartition, enumerate_multipartitions, format_multipartition
+from .schur import (
+    CycloSpec,
+    _prime_divisors,
+    defect_general,
+    defect_integer,
+    specialize_integer,
+)
 from .weights import residue_vector
 
 
@@ -52,6 +58,26 @@ def orbit(mp: str | Multipartition, d: int, p: int) -> int:
         raise ValueError("level must equal p*d")
     c = t.count("|", 0, (t + t).find(t, 1))
     return c // gcd(c, d)
+
+
+def short_orbits(level: int, rank: int, d: int, p: int) -> dict[str, int]:
+    """The member texts of level p*d and the given rank whose orbit under
+    the shift by d-packages is smaller than p, each mapped to its size by
+    ``orbit``; every other member has orbit size p.
+
+    An orbit smaller than p means that the shift by p/r packages fixes the
+    member for some prime r of p, so the member is r copies of its first
+    level/r components, of rank rank/r each.  The map is built from these
+    r-fold repeats alone, for each prime r of p that divides the rank."""
+    if d < 1 or p < 1 or level != p * d:
+        raise ValueError("level must equal p*d")
+    short = {}
+    for r in _prime_divisors(p):
+        if rank % r == 0:
+            for x in enumerate_multipartitions(level // r, rank // r):
+                text = "|".join([format_multipartition(x)] * r)
+                short[text] = orbit(text, d, p)
+    return short
 
 
 def _is_periodic(seq: Sequence, d: int) -> bool:

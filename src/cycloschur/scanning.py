@@ -64,6 +64,7 @@ import os
 from collections import Counter
 from math import prod
 from itertools import accumulate
+from json.encoder import encode_basestring_ascii
 from typing import NamedTuple
 
 from . import abacus, schur, weights
@@ -114,7 +115,26 @@ class ScanReport(NamedTuple):
         }
 
     def to_json_str(self) -> str:
-        return json.dumps(self.to_json(), indent=2, sort_keys=True)
+        """``json.dumps(self.to_json(), indent=2, sort_keys=True)``, with
+        the member arrays written apart.  The report is dumped with every
+        block's members set to [], and the text is cut at each literal
+        ``"members": []``: inside a JSON string every quote is escaped, so
+        the literal is a block's key, one per block in order.  Each block's
+        array goes back in at the cut, its members encoded by the same
+        ``encode_basestring_ascii`` that json.dumps uses, one per line."""
+        data = self.to_json()
+        data["blocks"] = [{**b, "members": []} for b in data["blocks"]]
+        head, *cuts = json.dumps(data, indent=2, sort_keys=True).split('"members": []')
+        indent = "\n" + " " * 8
+        parts = [head]
+        for b, cut in zip(self.blocks, cuts):
+            if b.members:
+                items = ("," + indent).join(map(encode_basestring_ascii, b.members))
+                parts.append(f'"members": [{indent}{items}\n      ]')
+            else:
+                parts.append('"members": []')
+            parts.append(cut)
+        return "".join(parts)
 
     def to_text(self) -> str:
         lines = [

@@ -458,6 +458,21 @@ def test_scan_report_roundtrip(tmp_path):
     assert json.dumps(again, indent=2, sort_keys=True) == text
 
 
+def test_scan_report_json_escapes_member_texts_as_json_dumps():
+    # the member arrays are spliced into the dump at each "members": [],
+    # so a member holding that literal, quotes, backslashes, non-ASCII
+    # letters or control characters must come out as json.dumps writes it
+    odd = ('"members": []', 'a"b', "back\\slash", "\u00e9|\u03bb", "tab\there\x01", "1|0")
+    blocks = (
+        BlockReport((1, 1), odd, 1, 0, '"members": []', (0, 1), True),
+        BlockReport((2, 0), ("2|0",), 2, 2, "0|0", (0, 1), False),
+        BlockReport((0, 0), (), 0, 0, "0|0", (0, 0), False),
+        BlockReport((0, 2), odd[::-1], 2, 2, "0|0", (1, 0), False),
+    )
+    report = ScanReport(2, 2, 2, (0, 1), 4, blocks)
+    assert report.to_json_str() == json.dumps(report.to_json(), indent=2, sort_keys=True)
+
+
 def test_scan_jobs_deterministic(monkeypatch):
     # through the real pool, cut as if one member repaid a worker process
     monkeypatch.setattr(scanning, "_WORKER_MEMBERS", 1)
@@ -494,7 +509,7 @@ def _sigma_orbit(text, d):
 
 @pytest.mark.parametrize(
     "l, n, d",
-    [(4, 4, 2), (4, 4, 1), (6, 3, 2), (6, 4, 3)],
+    [(4, 4, 2), (4, 4, 1), (6, 3, 2), (6, 4, 3), (6, 6, 1)],
 )
 def test_scan_csv_parses_back(tmp_path, l, n, d):
     # every row reads back as its block's fields and the member, with the

@@ -6,6 +6,7 @@ from cycloschur.groups import (
     glpn_defect,
     orbit,
     packages,
+    short_orbits,
     sigma,
     sigma_schur_invariance,
     yokonuma_block_key,
@@ -90,6 +91,28 @@ def test_orbit_of_member_text_matches_other_forms():
     assert orbit("1|0|0|1|0|0", 1, 6) == 3
     assert orbit("1|0|0|1|0|0", 3, 2) == 1
     assert orbit("1|0|0|0|0|0", 2, 3) == 3
+
+
+@pytest.mark.parametrize("p", [1, 2, 3, 4, 6])
+@pytest.mark.parametrize("d", [1, 2])
+def test_short_orbits_lists_every_member_with_an_orbit_below_p(d, p):
+    # ranks 0 to 4 give every prime of p (2 and 3) a rank it divides and
+    # one it does not
+    for n in range(5):
+        texts = map(format_multipartition, enumerate_multipartitions(d * p, n))
+        expected = {m: orbit(m, d, p) for m in texts if orbit(m, d, p) < p}
+        assert short_orbits(d * p, n, d, p) == expected
+
+
+def test_short_orbits_of_rank_zero_and_of_a_rank_no_prime_divides():
+    assert short_orbits(4, 0, 1, 4) == {"0|0|0|0": 1}
+    assert short_orbits(6, 0, 2, 3) == {"0|0|0|0|0|0": 1}
+    assert short_orbits(2, 0, 2, 1) == {}
+    # 5 is prime to 6, so every member of rank 5 has orbit size 6
+    assert short_orbits(6, 5, 1, 6) == {}
+    assert all(orbit(mp, 1, 6) == 6 for mp in enumerate_multipartitions(6, 5))
+    with pytest.raises(ValueError):
+        short_orbits(5, 2, 2, 2)
 
 
 @pytest.mark.parametrize(
