@@ -321,16 +321,19 @@ def build_parser() -> argparse.ArgumentParser:
         "defects of multipartitions.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    # a subparser shares its parents' Action objects, so a default set on
+    # one subcommand's --charge would be every subcommand's default
+    mp = _Parser(add_help=False)
+    mp.add_argument("multipartition", help="e.g. '3.1|2.1.1'")
+    charge = _Parser(add_help=False)
+    charge.add_argument("--charge", help="comma-separated multicharge, e.g. '0,2'")
 
-    def add_mp(p):
-        p.add_argument("multipartition", help="e.g. '3.1|2.1.1'")
+    def command(name, func, help, parents=(mp, charge)):
+        p = sub.add_parser(name, help=help, parents=parents)
+        p.set_defaults(func=func)
+        return p
 
-    def add_charge(p):
-        p.add_argument("--charge", help="comma-separated multicharge, e.g. '0,2'")
-
-    p = sub.add_parser("hooks", help="charged-hook multiset")
-    add_mp(p)
-    add_charge(p)
+    p = command("hooks", _cmd_hooks, "charged-hook multiset")
     p.add_argument("--mod", type=int, help="also count hooks divisible by this")
     p.add_argument(
         "--diagonal",
@@ -338,11 +341,8 @@ def build_parser() -> argparse.ArgumentParser:
         default=True,
         help="include the same-component hooks",
     )
-    p.set_defaults(func=_cmd_hooks)
 
-    p = sub.add_parser("defect", help="defect of a multipartition")
-    add_mp(p)
-    add_charge(p)
+    p = command("defect", _cmd_defect, "defect of a multipartition")
     p.add_argument("--e", type=int, help="order of the root of unity")
     p.add_argument("--roots", help="N,t: root-of-unity parameters evaluated at zeta_N^t")
     p.add_argument("--rcharges", help="y-exponents per component (with --roots)")
@@ -353,62 +353,43 @@ def build_parser() -> argparse.ArgumentParser:
         help="expand the Schur element and take the cyclotomic valuation",
     )
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_defect)
 
-    p = sub.add_parser("weight", help="weight of a charged multipartition")
-    add_mp(p)
-    add_charge(p)
+    p = command("weight", _cmd_weight, "weight of a charged multipartition")
     p.add_argument("--e", type=int, required=True)
-    p.set_defaults(func=_cmd_weight)
 
-    p = sub.add_parser("core", help="core of a charged multipartition")
-    add_mp(p)
-    add_charge(p)
+    p = command("core", _cmd_core, "core of a charged multipartition")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_core)
 
-    p = sub.add_parser("schur", help="factored or expanded Schur element")
-    add_mp(p)
-    add_charge(p)
-    p.set_defaults(func=_cmd_schur)
+    command("schur", _cmd_schur, "factored or expanded Schur element")
 
-    p = sub.add_parser("abacus", help="render the abacus")
-    add_mp(p)
-    add_charge(p)
+    p = command("abacus", _cmd_abacus, "render the abacus")
     p.add_argument("--window", type=int, help="abacus window size m")
-    p.set_defaults(func=_cmd_abacus)
 
-    p = sub.add_parser("dm-classes", help="parameter classes")
+    p = command("dm-classes", _cmd_dm_classes, "parameter classes", ())
     p.add_argument("--roots", required=True, help="ambient order N")
     p.add_argument("--params", required=True, help="exponents of the parameters")
     p.add_argument("--u", type=int, required=True, help="exponent of u")
     p.add_argument("--n", type=int, required=True, help="rank")
-    p.set_defaults(func=_cmd_dm_classes)
 
-    p = sub.add_parser("yokonuma", help="package-split defect and block key")
-    add_mp(p)
-    add_charge(p)
+    p = command("yokonuma", _cmd_yokonuma, "package-split defect and block key")
     p.add_argument("--d", type=int, required=True, help="number of packages")
     p.add_argument("--l", type=int, required=True, help="components per package")
     p.add_argument("--e", type=int, required=True)
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=_cmd_yokonuma)
 
-    p = sub.add_parser("glpn", help="shift-orbit data and defect")
-    add_mp(p)
+    p = command("glpn", _cmd_glpn, "shift-orbit data and defect", (mp,))
     p.add_argument("--d", type=int, required=True, help="package size")
     p.add_argument("--p", type=int, required=True, help="number of packages")
     p.add_argument("--roots", required=True, help="N,t for the evaluation root")
     p.add_argument("--rcharges", required=True, help="d charges, repeated per package")
-    p.add_argument("--qexp", type=int, default=1)
-    p.set_defaults(func=_cmd_glpn)
+    p.add_argument("--qexp", type=int)
 
-    p = sub.add_parser("scan", help="exhaustive block-invariance check")
-    p.add_argument("--l", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--e", type=int, required=True)
-    add_charge(p)
+    # --charge comes after the grid in the scan's usage and help
+    grid = _Parser(add_help=False)
+    for flag in ("--l", "--n", "--e"):
+        grid.add_argument(flag, type=int, required=True)
+    p = command("scan", _cmd_scan, "exhaustive block-invariance check", (grid, charge))
     p.add_argument(
         "--jobs",
         type=int,
@@ -420,7 +401,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--csv", help="write per-member rows to this path")
     p.add_argument("--json", help="write the report to this path")
     p.add_argument("--p", type=int, help="add orbit sizes for this package count")
-    p.set_defaults(func=_cmd_scan)
 
     return parser
 

@@ -107,9 +107,8 @@ def residue_weight(counts: Sequence[int], charges: Sequence[int]) -> int:
     if any(count < 0 for count in c):
         raise ValueError("counts must be nonnegative")
     total = sum(c[s % e] for s in charges)
+    # even: the differences sum to 0, and d^2 = d mod 2 for each of them
     square = sum((c[i] - c[i - 1]) ** 2 for i in range(e))
-    if square % 2:
-        raise ArithmeticError("residue differences must have even square sum")
     weight = total - square // 2
     if weight < 0:
         raise ArithmeticError("weight must be nonnegative")

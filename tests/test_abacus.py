@@ -207,6 +207,23 @@ def test_zero_membership_matches_bead_hooks():
                     )
 
 
+def test_bead_statements_sum_to_the_multiset_and_the_zero_count():
+    # charged_hooks_abacus sums bead_hooks over every bead and runner, and
+    # count_zero_hooks counts the (c1, c2, x) where zero_membership holds
+    for l in range(1, 4):
+        for n in range(6):
+            for mp in enumerate_multipartitions(l, n):
+                for s in combinations_with_replacement(range(-1, 4), l):
+                    cfg = multi_beta(mp, s)
+                    beads = [(c, x) for c, runner in enumerate(cfg.runners) for x in runner]
+                    assert Counter(
+                        h for c, x in beads for b in range(l) for h in bead_hooks(cfg, c, x, b)
+                    ) == charged_hooks_abacus(cfg)
+                    assert sum(
+                        zero_membership(cfg, c, b, x) for c, x in beads for b in range(l)
+                    ) == count_zero_hooks(cfg)
+
+
 def test_n_k_examples():
     cfg = first_cfg()
     assert n_k(cfg, 2, 3, 1, 2) == 3
@@ -219,6 +236,8 @@ def test_n_k_examples():
         n_k(cfg, 0, 99, 0)
     with pytest.raises(ValueError):
         n_k(cfg, 0, 2, 1)  # k > 0 needs e
+    # x - ke below the lowest position 1 - m of the window counts nothing
+    assert n_k(cfg, 0, 1 - cfg.m, 1, 2) == 0
 
 
 def test_count_zero_hooks_examples():

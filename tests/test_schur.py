@@ -581,6 +581,9 @@ def test_class_multicharge():
         class_multicharge((0, 1), [RootOfUnity(12, 0), RootOfUnity(12, 3)], u)
     with pytest.raises(ValueError):
         class_multicharge((), xi, u)
+    # u = 1 puts only equal parameters in one class, each with charge 0
+    one = RootOfUnity(12, 0)
+    assert class_multicharge((0, 1, 2), [RootOfUnity(12, 5)] * 3, one) == (0, 0, 0)
 
 
 def test_cyclospec_validation():
