@@ -3,8 +3,8 @@
 Exit codes: 0 success (scan: no violation), 1 invariant violation,
 2 malformed input, bad parameters or an I/O error, 3 bad
 specialisation, 4 internal error (any other exception, reported in one
-line on stderr).  The scan itself and its report live in
-``cycloschur.scanning``.
+line on stderr), 130 interrupted (Ctrl-C).  The scan itself and its
+report live in ``cycloschur.scanning``.
 """
 
 from __future__ import annotations
@@ -33,6 +33,7 @@ EXIT_VIOLATION = 1
 EXIT_USAGE = 2
 EXIT_BAD_SPECIALISATION = 3
 EXIT_INTERNAL = 4
+EXIT_INTERRUPTED = 130
 
 
 def _warn(text: str) -> None:
@@ -444,6 +445,9 @@ def main(argv=None) -> int:
         # a fault of the program, not a counterexample: keep it off code 1
         _warn(f"internal error: {exc!r}\n")
         return EXIT_INTERNAL
+    except KeyboardInterrupt:
+        _warn("interrupted\n")
+        return EXIT_INTERRUPTED
 
 
 def entrypoint() -> None:

@@ -201,16 +201,23 @@ def format_multicharge(s: Iterable[int]) -> str:
     return ",".join(str(x) for x in s)
 
 
+def _integer(tok: str) -> bool:
+    """Whether tok is an optional "-" and then ASCII digits; int() also
+    takes "_", a "+" and the digits of other scripts."""
+    digits = tok.removeprefix("-")
+    return digits.isascii() and digits.isdigit()
+
+
 def parse_partition(text: str) -> Partition:
     text = text.strip()
     if text == "0":
         return Partition()
     if not text:
         raise ValueError("empty partition component; write the empty component as '0'")
-    try:
-        parts = [int(tok) for tok in text.split(".")]
-    except ValueError as exc:
-        raise ValueError(f"bad partition {text!r}") from exc
+    toks = [tok.strip() for tok in text.split(".")]
+    if not all(map(_integer, toks)):
+        raise ValueError(f"bad partition {text!r}")
+    parts = [int(tok) for tok in toks]
     if any(p <= 0 for p in parts):
         raise ValueError(f"bad partition {text!r}: parts must be positive")
     return Partition(parts)
@@ -227,7 +234,7 @@ def parse_multicharge(text: str) -> tuple[int, ...]:
     text = text.strip()
     if not text:
         raise ValueError("empty multicharge")
-    try:
-        return tuple(int(tok) for tok in text.split(","))
-    except ValueError as exc:
-        raise ValueError(f"bad multicharge {text!r}") from exc
+    toks = [tok.strip() for tok in text.split(",")]
+    if not all(map(_integer, toks)):
+        raise ValueError(f"bad multicharge {text!r}")
+    return tuple(map(int, toks))

@@ -5,7 +5,7 @@ groups them by residue vector (the proxy block key) and checks four
 routes to the weight of each block: the weight from residues, the
 weight from the bead reduction, the defect read off the Schur factors
 and the divisible-hook count.  The first two, the core and its charges
-depend only on the key and the rank (``weights.key_core``), so they are
+depend only on the key (``weights.key_core``), so they are
 computed once per key, after the enumeration.  Each member leaves its
 signature, its defect and divisible-hook count, in its block.  After the
 merge, the first member of each block is also run through the
@@ -403,7 +403,7 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     # here from n.bit_length() bits per class
     bits = n.bit_length()
     keys = [tuple(packed >> r * bits & (1 << bits) - 1 for r in range(e)) for packed in merged]
-    cores = [weights.key_core(key, norm, m) for key in keys]
+    cores = [weights.key_core(key, norm) for key in keys]
     shared = Counter(result[:2] for result in cores)
     blocks = []
     for key, result, (members, signatures) in zip(keys, cores, merged.values()):

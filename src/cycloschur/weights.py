@@ -29,15 +29,14 @@ residue class summed over them, the class totals, and the weight only
 through their potential; ``bead_state`` reads both in one pass over the
 beads.  ``terminal_core`` packs the class totals from a base below which
 every runner is full and reads back the core, its charges and the
-number of moves.  It has two entry points.  ``core`` packs the beads of
+number of moves.  Each caller works out its own base.  ``core`` packs
 a multipartition from the lowest gap of all runners
-(``abacus.active_beads``), so its cost does not grow with the window.
-``key_core`` packs from the window floor 1 - m and needs only the
-residue vector: adding a box of residue r moves one bead from class r
-to class r + 1 and raises it by one, so the class totals are those of
-the empty runners with the key moved along, and the start potential is
-that of the empty runners plus level times rank, the sum of the key.
-The scan calls it once per block key.
+(``abacus.active_beads``).  ``key_core`` needs only the residue vector:
+a rank-n member has no gap below min(charges) - n + 1, and adding a box
+of residue r moves one bead from class r to class r + 1 and raises it
+by one, so the class totals are those of the empty runners with the key
+moved along, and the start potential is that of the empty runners plus
+level times rank, the sum of the key.  The scan calls it once per key.
 ``uglov_weight`` keeps the move-by-move reduction, optionally in a
 random order, as the independent cross-check.
 
@@ -60,7 +59,6 @@ from typing import NamedTuple, Sequence
 
 from .abacus import (
     active_beads,
-    beta_numbers,
     check_domain,
     multi_beta,
     normalize_multicharge,
@@ -239,15 +237,16 @@ def terminal_core(
     return CoreResult(Multipartition(comps), tuple(charges), moves)
 
 
-def key_core(key: Sequence[int], charges: Sequence[int], m: int) -> CoreResult:
-    """The reduction at window m of any multipartition with residue vector
-    key, one count per class mod e = len(key); every box has one residue,
-    so its rank is sum(key)."""
-    e = len(key)
-    empty, potential = bead_state([beta_numbers(Partition(()), s, m) for s in charges], e)
+def key_core(key: Sequence[int], charges: Sequence[int]) -> CoreResult:
+    """The reduction of any multipartition with residue vector key, one
+    count per class mod e = len(key), packed from base = min(charges) - n + 1
+    with n = sum(key): no runner of a member of rank n has a gap below it."""
+    e, n = len(key), sum(key)
+    base = min(charges) - n + 1
+    empty, potential = bead_state([range(s, base - 1, -1) for s in charges], e)
     # each box of residue r raises one bead by one, from class r to r + 1
     totals = [count - key[r] + key[r - 1] for r, count in enumerate(empty)]
-    return terminal_core(totals, potential + len(charges) * sum(key), 1 - m, len(charges), e)
+    return terminal_core(totals, potential + len(charges) * n, base, len(charges), e)
 
 
 def core(
@@ -293,7 +292,7 @@ def ecore_classical(p: Partition, e: int) -> tuple[Partition, int]:
 def ecore_abacus(p: Partition, e: int) -> tuple[Partition, int]:
     """The e-core by sliding beads left by e on a single runner; the
     independent oracle for ``ecore_classical``."""
-    result = core(Multipartition([p]), (0,), e, len(p) + 1)
+    result = core(Multipartition([p]), (0,), e)
     if result.charges != (0,):
         raise ArithmeticError("a single runner must keep its charge")
     return result.core[0], result.weight

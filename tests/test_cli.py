@@ -87,6 +87,18 @@ def test_defect_command(capsys):
     assert out.strip() == "8"
 
 
+@pytest.mark.parametrize(
+    "mp, charge, message",
+    [("1_0|0", "0,1", "bad partition '1_0'"), ("+2|0", "0,1", "bad partition '+2'"),
+     ("\u0661|1", "0,1", "bad partition '\u0661'"),
+     ("1|1", "+1,0_0", "bad multicharge '+1,0_0'")],
+)
+def test_non_ascii_digit_input_exits_2_before_output(capsys, mp, charge, message):
+    # int() alone would read "1_0" as 10, "+2" as 2 and an Arabic-Indic one as 1
+    code, out, err = run(capsys, "defect", mp, "--charge", charge, "--e", "2", "--json")
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
 def test_defect_json(capsys):
     code, out, _ = run(
         capsys, "defect", "2.1.1|2.1.1", "--charge", "0,2", "--e", "3", "--json"
@@ -749,6 +761,55 @@ def test_violating_scan_with_failed_stdout_exits_2(monkeypatch, tmp_path, capsys
     assert not path.exists()
 
 
+def test_interrupted_scan_exits_130_and_removes_its_files(monkeypatch, tmp_path, capsys):
+    # Ctrl-C is one line on stderr, without a traceback; the scan removes
+    # the file it created and keeps the bytes of the one that was there
+    created, kept = tmp_path / "r.json", tmp_path / "r.csv"
+    kept.write_bytes(b"kept\n")
+
+    def interrupted(*args):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr("cycloschur.cli.scan", interrupted)
+    argv = ["scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1",
+            "--json", str(created), "--csv", str(kept)]
+    assert run(capsys, *argv) == (130, "", "interrupted\n")
+    assert not created.exists()
+    assert kept.read_bytes() == b"kept\n"
+
+
+INTERRUPT = """
+import os, signal, sys, time
+sys.path.insert(0, sys.argv.pop(1))
+from cycloschur import cli
+
+def scan(*args):
+    os.kill(os.getpid(), signal.SIGINT)
+    time.sleep(60)
+
+cli.scan = scan
+cli.entrypoint()
+"""
+
+
+def test_sigint_exits_130_without_traceback(tmp_path):
+    # a real SIGINT, delivered while the scan runs, ends the process with
+    # status 130 and one line on stderr, and the scan's file goes
+    import cycloschur
+
+    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
+    path = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-c", INTERRUPT, src, "scan", "--l", "2", "--n", "3", "--e", "2",
+         "--json", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (130, "", "interrupted\n")
+    assert not path.exists()
+
+
 class ClosedStderr(io.StringIO):
     """A standard error whose descriptor is closed: every write fails."""
 
@@ -1170,8 +1231,8 @@ def test_scan_flags_uniform_fault_of_a_key_level_route(monkeypatch, weight_off, 
         weights, "residue_weight", lambda key, charges: real_weight(key, charges) + weight_off
     )
 
-    def moved(key, charges, m):
-        result = real_core(key, charges, m)
+    def moved(key, charges):
+        result = real_core(key, charges)
         return result._replace(weight=result.weight + moves_off)
 
     monkeypatch.setattr(weights, "key_core", moved)
@@ -1187,12 +1248,12 @@ def test_scan_detects_core_mutation(monkeypatch, capsys):
     key = residue_vector(parse_multipartition("2.1|0"), (0, 1), 2)
     other = residue_vector(parse_multipartition("3|0"), (0, 1), 2)
     original = weights.key_core
-    cores = [original(k, (0, 1), 5) for k in (key, other)]
+    cores = [original(k, (0, 1)) for k in (key, other)]
     assert cores[0].weight == cores[1].weight
     assert cores[0][:2] != cores[1][:2]
 
-    def broken(k, charges, m):
-        return original(other if k == key else k, charges, m)
+    def broken(k, charges):
+        return original(other if k == key else k, charges)
 
     monkeypatch.setattr(scanning.weights, "key_core", broken)
     code, out, _ = run(capsys, "scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1")

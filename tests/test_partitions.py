@@ -204,9 +204,12 @@ def test_grammar_round_trip():
 
 
 def test_grammar_rejects_malformed_input():
-    for text in ["", "1.2", "2.0", "a|b", "2,1", "|", "1||2"]:
+    # a part is ASCII digits only: int() alone would read "1_0" as 10,
+    # "+2" as 2 and an Arabic-Indic one as 1
+    for text in ["", "1.2", "2.0", "a|b", "2,1", "|", "1||2", "1_0|0", "+2|0", "\u0661|1"]:
         with pytest.raises(ValueError):
             parse_multipartition(text)
+    assert parse_multipartition(" 2 . 1 | 0 ") == parse_multipartition("2.1|0")
 
 
 def test_multicharge_grammar():
@@ -214,8 +217,10 @@ def test_multicharge_grammar():
     assert parse_multicharge("-1,3") == (-1, 3)
     with pytest.raises(ValueError):
         parse_multicharge("")
-    with pytest.raises(ValueError):
-        parse_multicharge("1,x")
+    assert parse_multicharge(" -1 , 3 ") == (-1, 3)
+    for text in ["1,x", "+1,0", "0_0", "+1,0_0", "--1", "- 1", "-", "\u0661,0"]:
+        with pytest.raises(ValueError):
+            parse_multicharge(text)
 
 
 def test_rank_vectors_order_matches_enumeration():

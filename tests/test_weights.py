@@ -324,4 +324,4 @@ def test_key_and_rank_fix_the_inputs_of_the_reduction(l, e):
                 key = residue_vector(mp, charges, e)
                 for window in (m, 4 * m):
                     expected = core(mp, charges, e, window)
-                    assert key_core(key, charges, window) == expected, (mp, charges, window)
+                    assert key_core(key, charges) == expected, (mp, charges, window)
