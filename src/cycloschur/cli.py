@@ -247,8 +247,6 @@ def _cmd_dm_classes(args) -> int:
 
 def _cmd_yokonuma(args) -> int:
     mp = parse_multipartition(args.multipartition)
-    if args.d * args.l != mp.level:
-        raise ValueError("level must equal d*l")
     charges = _charges_for(args, args.l)
     value = groups.yokonuma_defect(mp, args.d, args.l, charges, args.e)
     key = groups.yokonuma_block_key(mp, args.d, args.l, charges, args.e)
@@ -263,8 +261,6 @@ def _cmd_yokonuma(args) -> int:
 
 def _cmd_glpn(args) -> int:
     mp = parse_multipartition(args.multipartition)
-    if args.p * args.d != mp.level:
-        raise ValueError("level must equal p*d")
     spec = _spec_for(args, mp.level, args.d)
     size = groups.orbit(mp, args.d, args.p)
     value = groups.glpn_defect(mp, args.d, args.p, spec)

@@ -20,24 +20,27 @@ core and core multicharge.
 
 Each worker builds its entries, one per (partition, charge), in one
 depth-first pass per distinct charge (``_columns``), over the
-partitions up to the largest rank its members give that charge; each
-node adds one table term per row to its parent's sums.  An entry holds
-the text, the packed residue counts and three ints in B-bit slots, laid
-out by ``_Layout`` as n*e defect slots (column j < n, residue r < e)
-and then 2m - 1 hook slots (window positions 1 - m to m - 1).  vp and
-vq hold the prefix row-residue counts R[lam'_j][r] of
-``schur.column_tables``, then the P and Q of ``abacus.hook_table``;
-mask is all ones at (j, shift_j) and at the beads.  So each cross term,
+partitions up to the largest rank its members give that charge.  An
+entry holds the text and three ints in B-bit slots, laid out by
+``_Layout`` as n*e defect slots (column j < n, residue r < e) and then
+2m - 1 hook slots (window positions 1 - m to m - 1).  vp and vq hold
+the prefix row-residue counts R[lam'_j][r] of ``schur.column_tables``,
+then the P and Q of ``abacus.hook_table``, and above them the packed
+residue counts, the key; mask is all ones at (j, shift_j) and at the
+beads.  One table of row ints holds a row's vp and key term and, above
+them, its mask term, so each node adds one int to its parent's sum,
+and an entry's sum splits into vp and mask at one bit.  So each cross term,
 one component's rows read at the other's shifts or its beads read
 against the other's P or Q, is the slot sum of one AND.  The worker
 walks each rank vector of ``rank_vectors`` as nested loops over whole
 columns of entries, the leftmost component slowest as in
 ``enumerate_multipartitions``, and each level carries the text, the
-key, the packed pair terms x of the components before it, the sum vps
-of their vp, and their masks.  Component c adds (vps + vp_c) & mask_c,
-its own pair (c, c) and every vp_a & mask_c at once, and vq_c & mask_a
-for each earlier a.  A member's hook count is h = (x >> B n e) mod
-(2^B - 1) and its defect x mod (2^B - 1) - h.  This is exact because
+packed pair terms x of the components before it, the sum vps of their
+vp, and their masks.  Component c adds (vps + vp_c) & mask_c, its own
+pair (c, c) and every vp_a & mask_c at once, and vq_c & mask_a for each
+earlier a.  A member's key is its sum of vp above the hook slots,
+which no mask reaches, its hook count h = (x >> B n e) mod (2^B - 1)
+and its defect x mod (2^B - 1) - h.  This is exact because
 B = (T + 1).bit_length() for a bound T on the slot total of any member
 (``_slot_bits``), so no slot carries.  A chunk of the enumeration is a
 run of whole rank vectors, and ``_scan_chunk`` only builds its entries,
@@ -176,9 +179,15 @@ def _slot_bits(l: int, n: int, e: int, m: int) -> int:
 class _Layout:
     """The slots of a level-l rank-n scan in the window m: slot j*e + r is
     column j and residue r, slot n*e + y the window position 1 - m + y,
-    from bit ``split`` = B n e on.  An entry sums one term per row, from
-    the tables [part][y] of the row's bead y, and one term each from the
-    tables of the lowest gap and of the charge."""
+    from bit ``split`` = B n e on.  A row int of ``rows`` holds three
+    regions: the vp term in the slots, the key term from bit ``shift``,
+    just above them, n.bit_length() bits per class, and the mask term
+    from bit ``lift`` = shift + e n.bit_length() + 1.  An entry sums one
+    int per row, rows[part][y] for the row's bead y, and the head terms
+    of its lowest gap and its charge, ``gaps`` and ``free``.  Each region
+    of an entry is nonnegative and below its width (the slot bound T, n
+    per class, all-ones slots), so the sum splits exactly: the negative
+    row terms only borrow between the regions of partial sums."""
 
     def __init__(self, l: int, n: int, e: int, m: int):
         bits = self.bits = _slot_bits(l, n, e, m)
@@ -186,6 +195,8 @@ class _Layout:
         self.split = bits * n * e
         self.ones = ones = (1 << bits) - 1
         w, base, key_bits = 2 * m - 1, 1 - m, n.bit_length()
+        self.shift = shift = bits * (n * e + w)
+        self.lift = lift = shift + e * key_bits + 1
 
         def slot(x: int) -> int:
             return ones << bits * x
@@ -198,122 +209,108 @@ class _Layout:
             for c in range(e)
         ]
         # the hook region: comb[y] has a 1 at y, y + e, ... in the window,
-        # and a gap at y adds comb[y + e] to P.  The gap table counts every
-        # position from the lowest gap up as a gap, and each row's table
-        # takes its bead back out.  Q is P plus a 1 at each gap
+        # and a gap at y adds comb[y + e] to P.  The gap term counts every
+        # position from the lowest gap up as a gap and fills the mask below
+        # it, and each row's term takes its bead back out.  Q is P plus a 1
+        # at each gap
         comb = [0] * (w + e)
         for y in reversed(range(w)):
             comb[y] = comb[y + e] + (1 << bits * (n * e + y))
-        self.gaps = list(accumulate(reversed(comb[e:]), initial=0))[::-1]
+        gaps = list(accumulate(reversed(comb[e:]), initial=0))[::-1]
+        full = accumulate((slot(n * e + y) for y in range(w)), initial=0)
+        self.gaps = [g + (f << lift) for g, f in zip(gaps, full)]
         self.units = sum(comb[:e])
-        self.full = [((1 << bits * y) - 1) << self.split for y in range(w + 1)]
-        self.free = [run[c][n] for c in range(e)]
+        self.free = [run[c][n] << lift for c in range(e)]
         # a row of k boxes from residue r: runs[k][r], one count per box
         runs = [[0] * e]
         for k in range(n):
             runs.append([x + (1 << key_bits * ((r + k) % e)) for r, x in enumerate(runs[-1])])
-        self.vp, self.mask, self.key = [], [], []
+        # the row i (from 1) of part k whose bead sits at y has its boxes
+        # at the residues c, ..., c + k - 1, c = y + base - k = s - i + 1,
+        # and R counts the last at the columns j < k.  The mask of the empty
+        # partition, free[s % e], has column j at residue j + s, and the row
+        # moves its columns j < k from j + c to j + c - 1
+        self.rows = []
         for k in range(n + 1):
-            # the row i (from 1) of part k whose bead sits at y has the
-            # residue y + base - 1, counted in R by the columns j < k.  The
-            # mask of the empty partition, free[s % e], has column j at
-            # residue j + s, and the row moves its columns j < k from
-            # j + c + 1 to j + c, where c = s - i = y + base - k - 1
-            defect = [rep[k] << bits * ((y + base - 1) % e) for y in range(w)]
-            self.vp.append([d - comb[y + e] for y, d in enumerate(defect)])
-            self.mask.append(
-                [
-                    run[(y + base - k - 1) % e][k] - run[(y + base - k) % e][k] + slot(n * e + y)
-                    for y in range(w)
-                ]
-            )
-            # the row's boxes take the residues y + base - k, ..., y + base - 1
-            self.key.append([runs[k][(y + base - k) % e] for y in range(w)])
+            row = []
+            for y in range(w):
+                c = (y + base - k) % e
+                mask = run[c - 1][k] - run[c][k] + slot(n * e + y)
+                defect = rep[k] << bits * ((c + k - 1) % e)
+                row.append(defect - comb[y + e] + (runs[k][c] << shift) + (mask << lift))
+            self.rows.append(row)
 
 
 def _columns(s: int, ranks, layout: _Layout) -> list:
     """The entries of the partitions of the given ranks under the charge
     s, in one depth-first pass over every partition of rank at most top =
     max(ranks): cols[k] lists those of rank k, in ``partitions_of`` order,
-    each as (text, key, vp, vq, mask), for each k in ranks, and is None for
-    the other k <= top.  The key packs ``weights.residue_counts``,
-    n.bit_length() bits per class.  vp and vq hold the prefix row-residue
-    counts R[lam'_j][r] of ``schur.column_tables`` in their defect slots,
-    and the P and Q of ``abacus.hook_table`` over the window in their hook
-    slots.  mask is all ones at (j, shift_j) for every column j < n and at
-    every bead in the window.
+    each as (text, vp, vq, mask), for each k in ranks, and is None for the
+    other k <= top.  vp and vq hold the prefix row-residue counts
+    R[lam'_j][r] of ``schur.column_tables`` in their defect slots, the P
+    and Q of ``abacus.hook_table`` over the window in their hook slots,
+    and the key, ``weights.residue_counts`` packed n.bit_length() bits per
+    class, from bit ``layout.shift`` on.  mask is all ones at (j, shift_j)
+    for every column j < n and at every bead in the window.
 
     A node of the pass is a partition p, and its children are p with one
-    more part q at most its last.  It carries its text and the sums over
-    its rows of the tables vp, mask and key, so a child adds one term
-    [q][y] to each sum, where y = q - len(p) + m - 1 + s is the window
-    index of the new row's bead.  The window is full below the index
-    s - len(p) + m, the lowest gap; that term, ``free`` and vq are added
-    when the entry is emitted.  The stack pops the children in descending
-    part order, so the preorder meets each rank's partitions in
-    ``partitions_of`` order.  The lower ranks are walked even when they
-    are not emitted, since they are the prefixes.  A stack, unlike a
-    closure that calls itself, leaves no reference cycle to the garbage
-    collector."""
-    m, units, top = layout.m, layout.units, max(ranks)
-    vp_rows, mask_rows, key_rows = layout.vp, layout.mask, layout.key
-    # the gap terms of a partition of `depth` parts
-    heads = [
-        (layout.gaps[s - depth + m], layout.full[s - depth + m] + layout.free[s % layout.e])
-        for depth in range(top + 1)
-    ]
+    more part q at most its last.  It carries its text and the sum of its
+    rows' ints, so a child adds one term rows[q][y], where y = q - len(p)
+    + m - 1 + s is the window index of the new row's bead.  The window is
+    full below the index s - len(p) + m, the lowest gap; that head term
+    is added when the entry is emitted, and the sum splits into vp, below
+    bit ``layout.lift``, and mask, from it on.  The stack pops the
+    children in descending part order, so the preorder meets each rank's
+    partitions in ``partitions_of`` order.  The lower ranks are walked
+    even when they are not emitted, since they are the prefixes.  A stack,
+    unlike a closure that calls itself, leaves no reference cycle to the
+    garbage collector."""
+    m, units, rows, lift, top = layout.m, layout.units, layout.rows, layout.lift, max(ranks)
+    low = (1 << lift) - 1
+    # the head term of a partition of `depth` parts
+    heads = [layout.gaps[s - depth + m] + layout.free[s % layout.e] for depth in range(top + 1)]
     names = [str(q) for q in range(top + 1)]
     cols: list = [[] if k in ranks else None for k in range(top + 1)]
-    # a node: text, last part, rank, number of parts, and the row sums of
-    # vp, mask and key
-    stack = [("0", top, 0, 0, 0, 0, 0)]
+    # a node: text, last part, rank, number of parts and its row sum
+    stack = [("0", top, 0, 0, 0)]
     while stack:
-        text, last, rank, depth, vp, mask, key = stack.pop()
+        text, last, rank, depth, x = stack.pop()
         col = cols[rank]
         if col is not None:
-            gap_vp, gap_mask = heads[depth]
-            entry_vp, entry_mask = vp + gap_vp, mask + gap_mask
-            col.append((text, key, entry_vp, entry_vp + (units & ~entry_mask), entry_mask))
+            entry = x + heads[depth]
+            vp, mask = entry & low, entry >> lift
+            col.append((text, vp, vp + (units & ~mask), mask))
         if rank == top:
             continue
         prefix = text + "." if depth else ""
         y = m - 1 + s - depth
         for q in range(1, min(last, top - rank) + 1):
-            stack.append(
-                (
-                    prefix + names[q],
-                    q,
-                    rank + q,
-                    depth + 1,
-                    vp + vp_rows[q][q + y],
-                    mask + mask_rows[q][q + y],
-                    key + key_rows[q][q + y],
-                )
-            )
+            stack.append((prefix + names[q], q, rank + q, depth + 1, x + rows[q][q + y]))
     return cols
 
 
-def _walk(blocks, split, ones, cols, c, text, key, total, vps, masks) -> None:
+def _walk(blocks, shift, split, ones, cols, c, text, total, vps, masks) -> None:
     """Group into ``blocks`` the members below the components chosen
     before c, whose prefix sums are the packed pair terms `total`, the sum
     `vps` of their vp and their masks.  Component c adds its own term and,
     with each chosen component a, vp_a & mask_c, summed over a in one AND
-    with its own vp_c & mask_c, and vq_c & mask_a.  The defect and hook
-    count are read off mod 2^B - 1 = `ones`, the hook region from bit
-    `split` on.  Unlike a closure that calls itself, this leaves no
+    with its own vp_c & mask_c, and vq_c & mask_a.  No mask reaches bit
+    `shift`, where a member's key is the sum of its vp.  The defect and
+    hook count are read off mod 2^B - 1 = `ones`, the hook region from
+    bit `split` on.  Unlike a closure that calls itself, this leaves no
     reference cycle."""
     last = len(cols) - 1
-    for t, k, vp, vq, mask in cols[c]:
+    for t, vp, vq, mask in cols[c]:
         v = vps + vp
         x = total + (v & mask)
         for mask_a in masks:
             x += vq & mask_a
-        k += key
         if c < last:
-            _walk(blocks, split, ones, cols, c + 1, text + t + "|", k, x, v, masks + (mask,))
+            _walk(blocks, shift, split, ones, cols, c + 1, text + t + "|", x, v, masks + (mask,))
             continue
         h = (x >> split) % ones
         d = x % ones - h
+        k = v >> shift
         members, signatures = blocks.get(k) or blocks.setdefault(k, ([], {}))
         signatures[d, h] = None
         members.append(text + t)
@@ -341,7 +338,7 @@ def _scan_chunk(args) -> dict:
     blocks: dict = {}
     for ranks in vectors:
         cols = [columns[s][k] for k, s in zip(ranks, charges)]
-        _walk(blocks, layout.split, layout.ones, cols, 0, "", 0, 0, 0, ())
+        _walk(blocks, layout.shift, layout.split, layout.ones, cols, 0, "", 0, 0, ())
     return blocks
 
 

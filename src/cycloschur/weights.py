@@ -27,10 +27,13 @@ and nothing moves.
 The packing depends on the runners only through the bead counts per
 residue class summed over them, the class totals, and the weight only
 through their potential; ``bead_state`` reads both in one pass over the
-beads.  ``terminal_core`` packs the class totals from a base below which
-every runner is full and reads back the core, its charges and the
-number of moves.  Each caller works out its own base.  ``core`` packs
-a multipartition from the lowest gap of all runners
+beads, and is the one place that computes a potential.
+``terminal_core`` packs the class totals from a base below which every
+runner is full: it reads each component's terminal beads back as one
+range of positions per class, then the core and its charges, and takes
+the number of moves from the potential ``bead_state`` gives those
+runners.  Each caller works out its own base.  ``core`` packs a
+multipartition from the lowest gap of all runners
 (``abacus.active_beads``).  ``key_core`` needs only the residue vector:
 a rank-n member has no gap below min(charges) - n + 1, and adding a box
 of residue r moves one bead from class r to class r + 1 and raises it
@@ -210,27 +213,26 @@ def terminal_core(
     start potential of runners that are full below base: the totals[r]
     beads of each residue class r mod e packed from base upward, level
     per position, read back as the core and its charges, and the number
-    of moves, (start - terminal potential) / e (see the module docstring)."""
-    packed: list[int] = []
-    terminal = 0
-    for r, left in enumerate(totals):
-        i = (r - base) % e
-        while left:
-            b = min(left, level)
-            packed.extend([0] * (i + 1 - len(packed)))
-            packed[i] = b
-            # the b beads at a position sit on the top b components
-            terminal += level * (base + i) * b - e * (b * (2 * level - b - 1) // 2)
-            left -= b
-            i += e
-    moves, rest = divmod(start - terminal, e)
+    of moves, (start - terminal potential) / e, with the terminal
+    potential from ``bead_state`` (see the module docstring).  The t
+    beads of class r fill t // level positions and put the rest on the
+    top t mod level components, so component c holds the lowest
+    t // level positions of class r at or above base, and one more when
+    t mod level >= level - c."""
+    runners: list[list[int]] = [[] for _ in range(level)]
+    # low is the lowest position at or above base of its class
+    for low in range(base, base + e):
+        full, rest = divmod(totals[low % e], level)
+        for c, runner in enumerate(runners):
+            runner.extend(range(low, low + e * (full + (rest >= level - c)), e))
+    moves, rest = divmod(start - bead_state(runners, e)[1], e)
     if rest or moves < 0:
         raise ArithmeticError("the reduction potential must fall by a multiple of e")
     # a runner with k beads at or above base has m + base - 1 more below
     # them, so its charge is k + base - 1
     comps, charges = [], []
-    for c in range(level):
-        xs = [base + i for i in range(len(packed) - 1, -1, -1) if packed[i] >= level - c]
+    for xs in runners:
+        xs.sort(reverse=True)
         s = len(xs) + base - 1
         comps.append(Partition(x + i - s for i, x in enumerate(xs)))
         charges.append(s)

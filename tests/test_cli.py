@@ -653,6 +653,42 @@ def test_scan_bad_path_leaves_no_file(tmp_path, capsys, bad, bad_first):
     assert (tmp_path / "ok.out").read_text() == "kept\n"
 
 
+@pytest.mark.parametrize("other_present", [False, True], ids=["other-new", "other-present"])
+@pytest.mark.parametrize("fault", ["missing-dir", "directory", "dev-full"])
+@pytest.mark.parametrize("bad", ["--json", "--csv"])
+def test_scan_output_fault_matrix(tmp_path, capsys, bad, fault, other_present):
+    # one output path is in a missing directory, is a directory, or is a
+    # full device: the scan exits 2 with one error line and nothing on
+    # stdout, every file it created is gone, and a file that was there
+    # keeps its bytes unless it was written before the failure (the CSV
+    # goes before the JSON, and only the full device fails after the open)
+    bad_path = {
+        "missing-dir": tmp_path / "missing" / "x.out",
+        "directory": tmp_path / "dir",
+        "dev-full": Path("/dev/full"),
+    }[fault]
+    if fault == "dev-full" and not bad_path.exists():
+        pytest.skip("this system has no /dev/full")
+    other, other_path = "--csv" if bad == "--json" else "--json", tmp_path / "other.out"
+    (tmp_path / "dir").mkdir()
+    if other_present:
+        other_path.write_bytes(b"old\n")
+    before = sorted(os.listdir(tmp_path))
+    argv = ["scan", "--l", "2", "--n", "3", "--e", "2", "--charge", "0,1"]
+    code, out, err = run(capsys, *argv, bad, str(bad_path), other, str(other_path))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+    assert sorted(os.listdir(tmp_path)) == before
+    assert list((tmp_path / "dir").iterdir()) == []
+    if other_present:
+        expected = b"old\n"
+        if fault == "dev-full" and other == "--csv":
+            written = tmp_path / "dir" / "clean.csv"
+            write_scan_csv(scan(2, 3, 2, (0, 1)), str(written))
+            expected = written.read_bytes()
+        assert other_path.read_bytes() == expected
+
+
 @pytest.mark.parametrize("first", ["--csv", "--json"])
 def test_scan_refuses_one_path_for_both_files(tmp_path, capsys, first):
     # the JSON would overwrite the CSV; the same file under two spellings is
@@ -1071,7 +1107,8 @@ def check_entry(entry, p, s, layout):
     residue counts, its column tables and its hook table, and that its own
     term is the pair (c, c) of both routes; return the list tables."""
     n, e = layout.n, layout.e
-    text, key, vp, vq, mask = entry
+    text, vp, vq, mask = entry
+    key = vp >> layout.shift
     where = (n, e, layout.m, p, s)
     (rows, shifts), (p_vals, q_vals), at = tables = list_tables(p, s, layout)
     assert text == format_partition(p), where
@@ -1107,7 +1144,7 @@ def test_packed_terms_match_the_list_tables():
                 for k, col in enumerate(cols):
                     assert len(col) == len(partitions_of(k)), (l, n, e, top, s, k)
                     for p, entry in zip(partitions_of(k), col):
-                        _, _, vp, vq, mask = entry
+                        _, vp, vq, mask = entry
                         entries.append((k, vp, vq, mask, check_entry(entry, p, s, layout)))
             for (k_a, vp_a, _, mask_a, tables_a), (k_c, _, vq_c, mask_c, tables_c) in product(
                 entries, repeat=2
@@ -1266,25 +1303,28 @@ def test_scan_detects_core_mutation(monkeypatch, capsys):
 
 
 def test_scan_flags_a_rotated_key_table(monkeypatch):
-    # the layout's key tables count each box one residue up, so the walk
-    # files every member under the next class's key: the two blocks of
-    # (2, 3, 2) swap their keys and with them their cores, and the weights
-    # and signatures still agree; only the first member's own residue
-    # vector shows that the key is wrong
-    real = scanning._Layout.__init__
+    # the key region of every entry's vp and vq counts each box one residue
+    # up, so the walk files every member under the next class's key: the
+    # two blocks of (2, 3, 2) swap their keys and with them their cores,
+    # and the weights and signatures still agree; only the first member's
+    # own residue vector shows that the key is wrong
+    real = scanning._columns
 
-    def rotated(self, l, n, e, m):
-        real(self, l, n, e, m)
-        bits = n.bit_length()
+    def rotated(s, ranks, layout):
+        e, bits, shift = layout.e, layout.n.bit_length(), layout.shift
 
         def rotate(packed):
-            counts = [packed >> r * bits & (1 << bits) - 1 for r in range(e)]
-            return sum(count << (r + 1) % e * bits for r, count in enumerate(counts))
+            counts = [packed >> shift + r * bits & (1 << bits) - 1 for r in range(e)]
+            key = sum(count << (r + 1) % e * bits for r, count in enumerate(counts))
+            return (packed & (1 << shift) - 1) + (key << shift)
 
-        self.key = [[rotate(x) for x in row] for row in self.key]
+        return [
+            col and [(text, rotate(vp), rotate(vq), mask) for text, vp, vq, mask in col]
+            for col in real(s, ranks, layout)
+        ]
 
     clean = scan(2, 3, 2, (0, 1))
-    monkeypatch.setattr(scanning._Layout, "__init__", rotated)
+    monkeypatch.setattr(scanning, "_columns", rotated)
     report = scan(2, 3, 2, (0, 1))
     assert len(clean.blocks) == 2 and clean.violations == 0
     assert [b.members for b in report.blocks] == [b.members for b in clean.blocks]
@@ -1400,7 +1440,7 @@ def test_scan_merge_flags_chunk_mismatch(serial_pool, monkeypatch):
             return cols
         # the lowest masked slot is column 0's, in the defect region
         return [
-            col and [(text, key, vp + (mask & -mask), vq, mask) for text, key, vp, vq, mask in col]
+            col and [(text, vp + (mask & -mask), vq, mask) for text, vp, vq, mask in col]
             for col in cols
         ]
 
@@ -1605,10 +1645,10 @@ def test_scan_flags_a_fault_in_the_nested_sums(monkeypatch, capsys, field):
     def broken(s, ranks, layout):
         cols = real(s, ranks, layout)
         for col in cols if s == 0 else ():
-            for i, (text, key, vp, vq, mask) in enumerate(col or ()):
+            for i, (text, vp, vq, mask) in enumerate(col or ()):
                 if text == "2.1":
                     region = mask if field == "defect" else mask >> layout.split << layout.split
-                    col[i] = (text, key, vp + (region & -region), vq, mask)
+                    col[i] = (text, vp + (region & -region), vq, mask)
         return cols
 
     clean = scan(3, 5, 2, (0, 0, 1))

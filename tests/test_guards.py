@@ -1,4 +1,4 @@
-"""The argument checks of the library and of the CLI that no other test
+"""The checks of the library and of the CLI that no other test
 reaches: each call below trips one check, which raises its own error
 with its own message, or exits 2 with it on stderr."""
 
@@ -102,3 +102,14 @@ def test_cli_guard_exits_2_with_its_message(capsys, argv, message):
     code = main(argv)
     captured = capsys.readouterr()
     assert (code, captured.out, captured.err) == (2, "", f"error: {message}\n")
+
+
+def test_ecore_abacus_guards_the_charge_of_its_runner(monkeypatch):
+    # a single charge-0 runner keeps its beads, so its core has charge 0;
+    # a reduction that read back another charge is caught
+    real = weights.core
+    monkeypatch.setattr(
+        weights, "core", lambda mp, charges, e: real(mp, charges, e)._replace(charges=(1,))
+    )
+    with pytest.raises(ArithmeticError, match="^a single runner must keep its charge$"):
+        weights.ecore_abacus(Partition((2,)), 2)
