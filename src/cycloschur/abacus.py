@@ -9,7 +9,10 @@ multipartition gives its abacus.
 Charged hook lengths can be read off the abacus: a bead at position
 beta with delta(beta) empty positions to its left on its own runner
 contributes beta - y for each of the first delta(beta) empty positions
-y of every runner, scanned left to right.  ``charged_hooks_direct``
+y of every runner, scanned left to right.  ``bead_hooks`` is one bead's
+contribution against one runner, and ``charged_hooks_abacus`` sums it
+over the beads at or above the lowest gap of all runners; ``_delta`` is
+the one count of the gaps below a position.  ``charged_hooks_direct``
 computes the same multiset straight from the generalised hook lengths
 shifted by the charge difference and serves as the brute-force oracle
 for ``charged_hooks_abacus``.
@@ -164,37 +167,27 @@ def bead_hooks(cfg: BetaConfig, comp: int, x: int, other: int) -> list[int]:
 def charged_hooks_abacus(
     cfg: BetaConfig, include_diagonal: bool = True
 ) -> Counter:
-    """The charged-hook multiset, a Counter with positive counts, computed
-    by the bead/gap procedure."""
-    level = cfg.level
-    bead_sets = [set(r) for r in cfg.runners]
-    deltas = [
-        {x: _delta(runner, cfg.m, x) for x in runner} for runner in cfg.runners
-    ]
-    dmax = max((d for per in deltas for d in per.values()), default=0)
-    gap_lists = [_gaps(bs, cfg.m, dmax) for bs in bead_sets]
-
-    counts: Counter = Counter()
-    n = 0
-    for a, runner in enumerate(cfg.runners):
-        for x in runner:
-            d = deltas[a][x]
-            n += d
-            if d == 0:
-                continue
-            for b in range(level):
-                if not include_diagonal and b == a:
-                    continue
-                for k in range(d):
-                    counts[x - gap_lists[b][k]] += 1
-    # every bead contributes one hook per gap below it, so the deltas sum to the rank
-    rank = sum(
-        x + i - s
-        for runner, s in zip(cfg.runners, cfg.charges)
-        for i, x in enumerate(runner)
+    """The charged-hook multiset, a Counter with positive counts: the sum of
+    ``bead_hooks`` over every bead at or above the lowest gap of all
+    runners and every runner, the bead's own one only with the diagonal.
+    A bead below that gap has no gap below it and adds nothing."""
+    _, beads = active_beads(cfg)
+    against = cfg.level if include_diagonal else cfg.level - 1
+    counts = Counter(
+        h
+        for a, runner in enumerate(beads)
+        for x in runner
+        for b in range(cfg.level)
+        if include_diagonal or b != a
+        for h in bead_hooks(cfg, a, x, b)
     )
-    if n != rank:
-        raise ArithmeticError(f"bead deltas sum to {n}, not to the rank {rank}")
+    # a bead meets one hook per gap below it on each runner it is read
+    # against, and the gaps below all the beads sum to the rank
+    rank = sum(x + i - s for r, s in zip(beads, cfg.charges) for i, x in enumerate(r))
+    if counts.total() != rank * against:
+        raise ArithmeticError(
+            f"{counts.total()} bead/gap hooks, not the rank {rank} times {against}"
+        )
     return counts
 
 
@@ -217,15 +210,13 @@ def charged_hooks_direct(
 
 def zero_membership(cfg: BetaConfig, c1: int, c2: int, x: int) -> bool:
     """Whether the bead x of component c1 contributes a zero hook against
-    component c2: x must be absent from c2 and have fewer beads below it
-    on its own runner than on runner c2."""
+    component c2: x must be absent from c2 and have more gaps below it on
+    its own runner than on runner c2, that is fewer beads."""
     if x not in cfg.runners[c1]:
         raise ValueError(f"{x} is not a bead of component {c1}")
     if x in cfg.runners[c2]:
         return False
-    below1 = sum(1 for y in cfg.runners[c1] if y < x)
-    below2 = sum(1 for y in cfg.runners[c2] if y < x)
-    return below1 < below2
+    return _delta(cfg.runners[c1], cfg.m, x) > _delta(cfg.runners[c2], cfg.m, x)
 
 
 def n_k(cfg: BetaConfig, c: int, x: int, k: int, e: int | None = None) -> int:

@@ -239,7 +239,15 @@ def nu_phi(p: LaurentPoly, e: int) -> int:
     notes; 0, building no Phi_e(B), when p's span is below phi(e) = deg Phi_e."""
     if p.is_zero:
         raise ValueError("the zero polynomial has no valuation")
-    # before the early return, so that a bad e raises instead of counting 0
+    # before the early returns, so that a bad e raises instead of counting 0
+    if e < 1:
+        raise ValueError("e must be positive")
+    # phi(e)^2 >= e/2, so 2 span^2 < e means span < phi(e), with no trial
+    # division of e: phi is multiplicative, phi(p^k) = p^(k-1) (p - 1) >=
+    # p^(k/2) for an odd prime p as p - 1 >= sqrt(p), and phi(2^k) =
+    # 2^(k-1) >= 2^(k/2) / sqrt(2)
+    if 2 * p.span**2 < e:
+        return 0
     up, down, degree = _mobius_split(e)
     if p.span < degree:
         return 0

@@ -279,6 +279,24 @@ def test_count_divisible_matches_multiset():
         assert count_divisible_hooks(cfg, e) == expected
 
 
+def test_count_divisible_is_the_sum_of_the_n_k_terms():
+    # the identity of its docstring: n_k summed over every bead x and every
+    # k >= 0 with x - ke still in the window, 0 = s_0 <= ... <= s_(l-1) <= e
+    for l in range(1, 4):
+        for n in range(6):
+            for mp in enumerate_multipartitions(l, n):
+                for e in (2, 3, 4):
+                    for rest in combinations_with_replacement(range(e + 1), l - 1):
+                        cfg = multi_beta(mp, (0, *rest))
+                        terms = sum(
+                            n_k(cfg, c, x, k, e)
+                            for c, runner in enumerate(cfg.runners)
+                            for x in runner
+                            for k in range((x + cfg.m - 1) // e + 1)
+                        )
+                        assert count_divisible_hooks(cfg, e) == terms, (mp, rest, e)
+
+
 def test_hook_table_matches_the_recurrence():
     # P[i] counts the gaps at i - e, i - 2e, ... and Q[i] adds the gap at
     # i, written out position by position on random runners given by all

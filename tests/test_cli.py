@@ -500,12 +500,12 @@ def test_scan_csv(tmp_path):
     report = scan(2, 2, 2, (0, 1))
     path = tmp_path / "out.csv"
     write_scan_csv(report, str(path))
-    rows = list(csv.reader(path.open()))
+    rows = list(csv.reader(path.read_text().splitlines()))
     assert rows[0] == ["block_id", "residue_key", "multipartition", "weight", "defect", "core"]
     assert len(rows) == 1 + sum(len(b.members) for b in report.blocks)
     with_orbits = tmp_path / "orbits.csv"
     write_scan_csv(report, str(with_orbits), p=2)
-    rows = list(csv.reader(with_orbits.open()))
+    rows = list(csv.reader(with_orbits.read_text().splitlines()))
     assert rows[0][-1] == "orbit_size"
     assert {row[-1] for row in rows[1:]} <= {"1", "2"}
 
@@ -843,6 +843,41 @@ def test_sigint_exits_130_without_traceback(tmp_path):
         timeout=60,
     )
     assert (done.returncode, done.stdout, done.stderr) == (130, "", "interrupted\n")
+    assert not path.exists()
+
+
+WORKER_DIES = """
+import os, signal, sys
+sys.path.insert(0, sys.argv.pop(1))
+from cycloschur import cli, scanning
+
+def die(args):
+    os.kill(os.getpid(), signal.SIGKILL)
+
+os.cpu_count = lambda: 2
+scanning._WORKER_MEMBERS = 1
+scanning._scan_chunk = die
+cli.entrypoint()
+"""
+
+
+def test_pool_scan_whose_worker_dies_exits_4_and_removes_its_file(tmp_path):
+    # a worker killed by SIGKILL breaks the pool at once: one line, status
+    # 4, and the scan's file goes; a pool that waited for it would hang
+    import cycloschur
+
+    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
+    path = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-c", WORKER_DIES, src, "scan", "--l", "2", "--n", "6", "--e", "2",
+         "--charge", "0,1", "--jobs", "2", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (done.returncode, done.stdout) == (4, "")
+    assert done.stderr.startswith("internal error: BrokenProcessPool(")
+    assert done.stderr.count("\n") == 1 and done.stderr.endswith("\n")
     assert not path.exists()
 
 

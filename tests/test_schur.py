@@ -242,6 +242,21 @@ def test_nu_phi_builds_no_binomial_when_phi_e_is_wider(monkeypatch):
         nu_phi(p, 13)
 
 
+def test_nu_phi_of_a_large_prime_e_returns_0_at_once(monkeypatch):
+    # phi(e)^2 >= e/2 bounds the span, so e = 2^61 - 1 is never factored
+    def refuse(e):
+        raise AssertionError(f"factored {e}")
+
+    p = cyclotomic_poly(7) * cyclotomic_poly(9)
+    monkeypatch.setattr(schur, "_mobius_split", refuse)
+    start = time.perf_counter()
+    for e in (2**61 - 1, 10**18 + 3):
+        assert nu_phi(p, e) == 0
+    assert time.perf_counter() - start < 1
+    with pytest.raises(ValueError):
+        nu_phi(ONE, 0)
+
+
 def test_nu_phi_widens_the_base_until_the_quotient_reads_back(monkeypatch):
     bases = []
     build = schur._phi_at
