@@ -106,6 +106,8 @@ class BetaConfig(_BetaFields):
                 raise ValueError(
                     f"component {c}: expected {m + s} beads, got {len(runner)}"
                 )
+            if not runner:
+                raise ValueError(f"window m={m} too small for charge {s}")
             if not all(map(gt, runner, runner[1:])):
                 raise ValueError(f"component {c}: beads must strictly decrease")
             if runner[-1] != floor:

@@ -30,10 +30,23 @@ from .schur import (
 from .weights import residue_vector
 
 
+def _check_shift(level: int, d: int, p: int, charges: Sequence[int] = ()) -> None:
+    """The shift by d-packages acts on level p*d and fixes the
+    specialisations whose charges repeat with period d."""
+    if d < 1 or p < 1 or level != p * d:
+        raise ValueError("level must equal p*d")
+    if any(s != charges[k % d] for k, s in enumerate(charges)):
+        raise ValueError("charges must repeat with period d")
+
+
+def _check_size(level: int, size: int) -> None:
+    if size < 1 or level % size != 0:
+        raise ValueError("the package size must divide the level")
+
+
 def sigma(mp: Multipartition, d: int) -> Multipartition:
     """Cyclic shift by one package of d components."""
-    if d < 1 or mp.level % d != 0:
-        raise ValueError("the package size must divide the level")
+    _check_size(mp.level, d)
     if mp.level == d:
         return mp
     return Multipartition(mp[-d:] + mp[:-d])
@@ -54,8 +67,8 @@ def orbit(mp: str | Multipartition, d: int, p: int) -> int:
     divides k*d, so the size is c // gcd(c, d), a divisor of p."""
     text = mp if isinstance(mp, str) else format_multipartition(mp)
     t = text + "|"
-    if not text or d < 1 or p < 1 or t.count("|") != p * d:
-        raise ValueError("level must equal p*d")
+    # an empty text has no component, level 0
+    _check_shift(t.count("|") if text else 0, d, p)
     c = t.count("|", 0, (t + t).find(t, 1))
     return c // gcd(c, d)
 
@@ -69,8 +82,7 @@ def short_orbits(level: int, rank: int, d: int, p: int) -> dict[str, int]:
     member for some prime r of p, so the member is r copies of its first
     level/r components, of rank rank/r each.  The map is built from these
     r-fold repeats alone, for each prime r of p that divides the rank."""
-    if d < 1 or p < 1 or level != p * d:
-        raise ValueError("level must equal p*d")
+    _check_shift(level, d, p)
     short = {}
     for r in _prime_divisors(p):
         if rank % r == 0:
@@ -80,20 +92,13 @@ def short_orbits(level: int, rank: int, d: int, p: int) -> dict[str, int]:
     return short
 
 
-def _is_periodic(seq: Sequence, d: int) -> bool:
-    return all(seq[k] == seq[k % d] for k in range(len(seq)))
-
-
 def glpn_defect(mp: Multipartition, d: int, p: int, spec: CycloSpec) -> int:
     """Defect of the subalgebra constituents attached to mp: the Schur
     element is a nonzero rational multiple of the ambient one, so the
     defect is the ambient defect.  Requires d-periodic charges."""
-    if p < 1 or mp.level != p * d:
-        raise ValueError("level must equal p*d")
     if spec.level != mp.level:
         raise ValueError("specialisation level must match the multipartition")
-    if not _is_periodic(spec.charges, d):
-        raise ValueError("charges must repeat with period d")
+    _check_shift(mp.level, d, p, spec.charges)
     return defect_general(mp, spec)
 
 
@@ -102,22 +107,26 @@ def sigma_schur_invariance(
 ) -> bool:
     """Whether the expanded integer-multicharge Schur elements of mp and
     of its shift agree; the multicharge must be d-periodic."""
-    if p < 1 or mp.level != p * d:
-        raise ValueError("level must equal p*d")
-    if len(charges) != mp.level:
-        raise ValueError("multicharge length must equal the level")
-    if not _is_periodic(charges, d):
-        raise ValueError("multicharge must repeat with period d")
+    _check_shift(mp.level, d, p, charges)
     return specialize_integer(mp, charges) == specialize_integer(sigma(mp, d), charges)
 
 
 def packages(mp: Multipartition, size: int) -> tuple[Multipartition, ...]:
     """Split mp into consecutive packages of the given size."""
-    if size < 1 or mp.level % size != 0:
-        raise ValueError("the package size must divide the level")
-    return tuple(
-        Multipartition(mp[k : k + size]) for k in range(0, mp.level, size)
-    )
+    _check_size(mp.level, size)
+    return tuple(Multipartition(mp[k : k + size]) for k in range(0, mp.level, size))
+
+
+def _yokonuma_packages(
+    mp: Multipartition, d: int, l: int, charges: Sequence[int]
+) -> tuple[Multipartition, ...]:
+    """The d packages of l components of a level d*l multipartition, each
+    to be read with the same length-l multicharge."""
+    if mp.level != d * l:
+        raise ValueError("level must equal d*l")
+    if len(charges) != l:
+        raise ValueError("one charge per package component required")
+    return packages(mp, l)
 
 
 def yokonuma_defect(
@@ -126,11 +135,7 @@ def yokonuma_defect(
     """Defect of a level d*l multipartition with the same length-l
     multicharge applied to every package: the sum of the package
     defects."""
-    if mp.level != d * l:
-        raise ValueError("level must equal d*l")
-    if len(charges) != l:
-        raise ValueError("one charge per package component required")
-    return sum(defect_integer(pkg, charges, e) for pkg in packages(mp, l))
+    return sum(defect_integer(pkg, charges, e) for pkg in _yokonuma_packages(mp, d, l, charges))
 
 
 def yokonuma_block_key(
@@ -139,8 +144,4 @@ def yokonuma_block_key(
     """Per-package residue vectors; equal keys define the proxy block.
     Equal keys force equal package ranks, since a residue vector sums to
     the rank it was computed from."""
-    if mp.level != d * l:
-        raise ValueError("level must equal d*l")
-    if len(charges) != l:
-        raise ValueError("one charge per package component required")
-    return tuple(residue_vector(pkg, charges, e) for pkg in packages(mp, l))
+    return tuple(residue_vector(pkg, charges, e) for pkg in _yokonuma_packages(mp, d, l, charges))

@@ -185,6 +185,8 @@ def partition_numbers(n: int) -> list[int]:
 
 def count_multipartitions(l: int, n: int) -> int:
     """The number of l-multipartitions of rank n, from the partition numbers."""
+    if l < 1:
+        raise ValueError("level must be at least 1")
     counts = partition_numbers(n)
     return sum(prod(map(counts.__getitem__, ranks)) for ranks in rank_vectors(n, l))
 

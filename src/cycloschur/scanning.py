@@ -357,10 +357,6 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     pool with one worker per chunk."""
     if l < 1:
         raise ValueError("level must be at least 1")
-    if n < 0:
-        raise ValueError("rank must be nonnegative")
-    if e < 2:
-        raise ValueError("e must be at least 2")
     if len(charges) != l:
         raise ValueError("multicharge length must equal the level")
     if jobs < 1:
@@ -381,10 +377,14 @@ def scan(l: int, n: int, e: int, charges, jobs: int = 1) -> ScanReport:
     if len(chunks) == 1:
         partials = [_scan_chunk(chunks[0])]
     else:
-        # imported here, so that a serial scan never loads multiprocessing
+        # imported here, so that a serial scan never loads multiprocessing.
+        # The workers ignore SIGINT, so that a Ctrl-C to the process group
+        # reaches this process alone, which waits for the running chunks
+        import signal
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=len(chunks)) as pool:
+        ignore = (signal.SIGINT, signal.SIG_IGN)
+        with ProcessPoolExecutor(len(chunks), initializer=signal.signal, initargs=ignore) as pool:
             partials = list(pool.map(_scan_chunk, chunks))
 
     # chunk order is enumeration order, so blocks keep their first

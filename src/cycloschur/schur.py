@@ -380,6 +380,13 @@ def defect_integer(mp: Multipartition, charges: Sequence[int], e: int) -> int:
     if e == 1:
         f = schur_factors(mp)
         return sum(1 for h, a, b in f.pair_factors if h + charges[a] - charges[b] != 0)
+    # at rank n, lam^a_i and lam^b'_j are at most n, j <= lam^a_i and
+    # i <= n, so a hook lies in [1 - n, 2n - 1] and a charged hook in
+    # [-H, H], H = 2n - 1 + max(s) - min(s).  For e > H only the zero ones
+    # are divisible by e, as by H + 1, so the count is the same at e and
+    # at H + 1, and the tables need H + 1 slots, not e.  H + 1 < 2 only at
+    # n = 0, where no box has a residue
+    e = min(e, 2 * mp.rank + max(charges) - min(charges))
     width = max((comp[0] for comp in mp if comp), default=0)
     tables = [column_tables(comp, s, e, width) for comp, s in zip(mp, charges)]
     return sum(sum(map(getitem, r, v)) for r, _ in tables for _, v in tables)

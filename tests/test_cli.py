@@ -881,6 +881,48 @@ def test_pool_scan_whose_worker_dies_exits_4_and_removes_its_file(tmp_path):
     assert not path.exists()
 
 
+POOL_INTERRUPTED = """
+import os, signal, sys, time
+sys.path.insert(0, sys.argv.pop(1))
+from cycloschur import cli, scanning
+
+real = scanning._scan_chunk
+
+def interrupt_first(args):
+    # the chunk of the first rank vector sends Ctrl-C to the process group
+    # while the other worker waits idle, then returns its real result
+    if args[4][0] == (args[0], 0):
+        time.sleep(0.5)
+        os.killpg(os.getpgid(0), signal.SIGINT)
+    return real(args)
+
+os.cpu_count = lambda: 2
+scanning._WORKER_MEMBERS = 1
+scanning._scan_chunk = interrupt_first
+cli.entrypoint()
+"""
+
+
+def test_pool_scan_interrupted_by_ctrl_c_prints_one_line(tmp_path):
+    # a SIGINT to the whole process group reaches the workers too; they
+    # ignore it, so the scan prints only its own line, exits 130 and
+    # removes its file
+    import cycloschur
+
+    src = os.path.dirname(os.path.dirname(cycloschur.__file__))
+    path = tmp_path / "r.json"
+    done = subprocess.run(
+        [sys.executable, "-c", POOL_INTERRUPTED, src, "scan", "--l", "2", "--n", "6", "--e",
+         "2", "--charge", "0,1", "--jobs", "2", "--json", str(path)],
+        capture_output=True,
+        text=True,
+        timeout=60,
+        start_new_session=True,
+    )
+    assert (done.returncode, done.stdout, done.stderr) == (130, "", "interrupted\n")
+    assert not path.exists()
+
+
 class ClosedStderr(io.StringIO):
     """A standard error whose descriptor is closed: every write fails."""
 
@@ -1417,11 +1459,12 @@ def test_scan_counts_each_violating_block_once(monkeypatch, capsys, tmp_path):
 class SerialPool:
     """An in-process stand-in for ProcessPoolExecutor, so that test doubles
     reach every chunk of a scan with jobs > 1; it records the pool sizes
-    it was opened with."""
+    it was opened with.  It never calls the worker initializer, which in
+    this process would make the test run ignore Ctrl-C."""
 
     opened: list = []
 
-    def __init__(self, max_workers):
+    def __init__(self, max_workers, initializer=None, initargs=()):
         self.opened.append(max_workers)
 
     def __enter__(self):

@@ -56,6 +56,8 @@ ROOT = schur.RootOfUnity(4, 1)
                      "level must be at least 1", id="enumerate_multipartitions-level"),
         pytest.param(lambda: next(partitions.enumerate_multipartitions(1, -1)), ValueError,
                      "rank must be nonnegative", id="enumerate_multipartitions-rank"),
+        pytest.param(lambda: partitions.count_multipartitions(0, 1), ValueError,
+                     "level must be at least 1", id="count_multipartitions-level"),
         pytest.param(lambda: scan(2, 2, 2, (0,)), ValueError,
                      "multicharge length must equal the level", id="scan-charges"),
         pytest.param(lambda: schur.specialize_integer(TWO, (0,)), ValueError,

@@ -35,6 +35,7 @@ BAD = [
     (BetaConfig, (RUNNERS, (0,), 3), "one runner per charge"),
     (BetaConfig, ((), (), 3), "at least one component"),
     (BetaConfig, (((2, -2),), (0,), 3), "expected 3 beads"),
+    (BetaConfig, (((),), (-3,), 3), "window m=3 too small for charge -3"),
     (BetaConfig, (((0, 2, -2),), (0,), 3), "strictly decrease"),
     (BetaConfig, (((2, 0, -1),), (0,), 3), "last bead"),
     (RootOfUnity, (0, 1), "ambient order"),

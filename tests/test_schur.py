@@ -2,7 +2,7 @@ import math
 import random
 import time
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from operator import getitem
 
 import pytest
@@ -495,6 +495,24 @@ def test_defect_large_e_vanishes():
     assert defect_integer(mp, (0, 9), 97) == 0
     # zero charged hooks count as divisible for every e
     assert defect_integer(mp, (0, 2), 97) == 2
+
+
+def test_defect_at_e_beyond_every_hook_counts_the_zero_hooks():
+    # every charged hook lies in [-H, H], H = 2n - 1 + max(s) - min(s), so
+    # defect_integer reads an e > H as H + 1; the count equals that of the
+    # charged hooks at every e up to H + 3, clamped or not
+    for l in (1, 2, 3):
+        for n in range(4 if l == 3 else 5):
+            for mp in enumerate_multipartitions(l, n):
+                for s in product(range(-2, 3), repeat=l):
+                    hooks = charged_hooks_direct(mp, s)
+                    for e in range(2, 2 * n + max(s) - min(s) + 3):
+                        count = sum(m for v, m in hooks.items() if v % e == 0)
+                        assert defect_integer(mp, s, e) == count, (mp, s, e)
+    # at e = 2^61 - 1 the tables have H + 1 = 13 slots, not e
+    start = time.perf_counter()
+    assert defect_integer(parse_multipartition("3.1|2"), (0, 1), 2**61 - 1) == 0
+    assert time.perf_counter() - start < 1
 
 
 def test_defect_e1_counts_nonzero_pair_hooks():
