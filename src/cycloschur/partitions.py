@@ -84,7 +84,8 @@ class Multipartition(tuple):
 
     def bar(self) -> Partition:
         """All parts of all components reordered into a single partition."""
-        return Partition(sorted((p for comp in self for p in comp), reverse=True))
+        # the sorted parts of valid components are valid: skip the checks
+        return tuple.__new__(Partition, sorted((p for comp in self for p in comp), reverse=True))
 
     def __repr__(self) -> str:
         return f"Multipartition({', '.join(repr(tuple(c)) for c in self)})"

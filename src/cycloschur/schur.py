@@ -17,8 +17,9 @@ digits are the coefficients while these are below B/2 in size.
 divides by (B - 1)^n for the q-integers, and takes k from ||P||_1 <=
 2^(#pairs) prod h < 2^(k-1), each h rounded up to a power of 2.  ``nu_phi``
 counts the exact divisions J of P(B) by Phi_e(B) = prod_{d | e} (B^d -
-1)^mu(e/d), J >= the multiplicity, and accepts J once the last quotient
-Q' has ||Q'||_1 2^(J #(mu=+1)) + ||P||_1 2^(J #(mu=-1)) < 2^(k-1): then
+1)^mu(e/d), one divmod each, up to J = span(P) / phi(e); J >= the
+multiplicity, and it accepts J once the last quotient Q' has
+||Q'||_1 2^(J #(mu=+1)) + ||P||_1 2^(J #(mu=-1)) < 2^(k-1): then
 Q' prod_{mu=+1} (y^d - 1)^J and P prod_{mu=-1} (y^d - 1)^J agree at B
 with coefficients below B/2, so they are equal.  Else k grows by 64.
 
@@ -215,9 +216,12 @@ _ORDER, _MASK = (1 if sys.byteorder == "little" else -1), (1 << 64) - 1
 def _pack(coeffs: Sequence[int], words: int) -> int:
     """sum c_i B^i at B = 2^(64 * words), for -B/2 <= c_i < B/2: the words of
     each c_i mod B, then B/2 added to each digit by flipping its top bit."""
-    raw = array("Q", bytes(8 * words * len(coeffs)))
-    for j in range(words):
-        raw[j::words] = array("Q", [c >> 64 * j & _MASK for c in coeffs])
+    if words == 1:  # one signed word per digit, written in C
+        raw = array("q", coeffs)
+    else:
+        raw = array("Q", bytes(8 * words * len(coeffs)))
+        for j in range(words):
+            raw[j::words] = array("Q", [c >> 64 * j & _MASK for c in coeffs])
     tops = int.from_bytes((bytes(8 * words - 1) + b"\x80") * len(coeffs), "little")
     return (int.from_bytes(raw[::_ORDER].tobytes(), sys.byteorder) ^ tops) - tops
 
@@ -254,8 +258,11 @@ def nu_phi(p: LaurentPoly, e: int) -> int:
     norm = sum(map(abs, p.coeffs))
     for words in count(norm.bit_length() // 64 + 1):
         phi, x, times = _phi_at(e, 64 * words), _pack(p.coeffs, words), 0
-        while times < p.span // degree and not x % phi:
-            x, times = x // phi, times + 1
+        while times < p.span // degree:
+            quot, rest = divmod(x, phi)
+            if rest:
+                break
+            x, times = quot, times + 1
         try:
             left = sum(map(abs, _unpack(x, words, p.span - times * degree + 1)))
         except OverflowError:

@@ -355,7 +355,7 @@ def test_readme_command_examples(tmp_path, monkeypatch, capsys):
     # output its comment shows; the scan writes its files into tmp_path
     monkeypatch.chdir(tmp_path)
     commands = readme_commands()
-    assert sum(expected is not None for _, expected in commands) == 7, commands
+    assert sum(expected is not None for _, expected in commands) == 8, commands
     for argv, expected in commands:
         code, out, err = run(capsys, *argv)
         assert code == 0, (argv, err)
@@ -393,8 +393,8 @@ def cli_outputs(python, argvs, cwd):
 
 def test_python_310_writes_the_same_bytes(tmp_path):
     # the lowest Python that pyproject.toml admits prints and writes the
-    # same bytes as this one: the README examples, and the text, JSON and
-    # CSV with orbit sizes of two golden scans
+    # same bytes as this one: the README examples, the text, JSON and CSV
+    # with orbit sizes of two golden scans, and a rank-31 oracle count
     python = python_310()
     if python is None:
         pytest.skip("no Python 3.10 runs here")
@@ -403,6 +403,9 @@ def test_python_310_writes_the_same_bytes(tmp_path):
          "--json", "a.json", "--csv", "a.csv"],
         ["scan", "--l", "3", "--n", "6", "--e", "2", "--charge=-3,5,2", "--p", "3",
          "--json", "b.json", "--csv", "b.csv"],
+        # a two-word base: the oracle's wide packing path
+        ["defect", "6.4.2|5.3.2.1|4.2.1.1", "--e", "3", "--charge", "0,94,188",
+         "--via-polynomial"],
     ]
     old = cli_outputs(python, argvs, tmp_path / "old")
     assert old == cli_outputs(sys.executable, argvs, tmp_path / "new")

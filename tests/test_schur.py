@@ -161,6 +161,11 @@ def _count_exact_divisions(p, e):
     st.integers(0, 3),
     st.lists(st.tuples(st.integers(1, 36), st.integers(1, 2)), max_size=3),
 )
+# Phi_12^16 stops the loop at its cap, span / phi(12) = 16, with no last
+# division; the coefficient 2^70 starts the base at two words
+@example(ONE, 12, 16, [])
+@example(LaurentPoly({0: 1 << 70, 3: -1}), 12, 16, [])
+@example(LaurentPoly({0: 1 << 70, 3: -1}), 2, 20, [])
 def test_nu_phi_matches_repeated_exact_division(p, e, k, others):
     for _ in range(k):
         p = p * cyclotomic_poly(e)
